@@ -72,6 +72,9 @@ def cmd_verify(args) -> int:
     except OSError as e:
         _err(f"cannot read {args.path}: {e}")
         return 1
+    except UnicodeDecodeError as e:
+        _err(f"malformed file {args.path}: not UTF-8 text (byte {e.start})")
+        return 2
     try:
         m, file_p = matrixfile.load(text)
     except MatrixFileError as e:

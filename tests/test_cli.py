@@ -138,6 +138,15 @@ def test_verify_malformed_exit_2(tmp_path, capsys):
     assert run(capsys, "verify", str(path))[0] == 2
 
 
+def test_verify_non_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.bim"
+    path.write_bytes(b"\xff\xfe bim v1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
 def test_verify_nonsquare_strip_exit_0(tmp_path, capsys):
     # a block-invertible strip verifies clean even though not square
     from blockinv.construct import GeneratorConfig, generate

@@ -1,11 +1,13 @@
 """Generator layer: perturbation matrix, corner completion, extension,
 full generation, GL counting, Kronecker alternative."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from blockinv import construct, matrixfile
 from blockinv.construct import (GeneratorConfig, NotBlockInvertibleError,
                                 StripChoice, corner_completion, extend,
                                 generate, gl_count, kronecker_generate,
@@ -20,6 +22,9 @@ GF2 = prime_field(2)
 GF3 = prime_field(3)
 GF5 = prime_field(5)
 GF16 = binary_field(4)
+GF256 = binary_field(8)
+#: The field list of the acceptance suite.
+FIELDS = [GF2, GF3, GF5, prime_field(257), GF16, GF256]
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +199,60 @@ def test_generate_deterministic():
     cfg = GeneratorConfig(n=10, p=2, field=GF3, seed=123,
                           strip=StripChoice.RANDOM)
     assert generate(cfg) == generate(cfg)
+
+
+@pytest.mark.parametrize("strip", list(StripChoice))
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_generate_equals_folded_extend(p, strip):
+    # generate skips extend's input checks but must take the same steps,
+    # drawing from one shared stream in the same order
+    for field in FIELDS:
+        seed = 1000 * p + field.order
+        rng = SplitMix64(seed)
+        m = random_invertible(p, field, rng)
+        for _ in range(3):
+            m = extend(m, p, strip, rng)
+        cfg = GeneratorConfig(n=4 * p, p=p, field=field, seed=seed,
+                              strip=strip)
+        assert generate(cfg) == m, (str(field), p, strip)
+
+
+@pytest.mark.parametrize("bad", ["corner", "w"])
+def test_generate_rejects_singular_completion(monkeypatch, bad):
+    def broken(s):
+        zero = Matrix.zeros(s.field, s.nrows, s.ncols)
+        ident = Matrix.identity(s.field, s.nrows)
+        return (zero, ident) if bad == "w" else (ident, zero)
+
+    monkeypatch.setattr(construct, "corner_completion", broken)
+    with pytest.raises(AssertionError):
+        generate(GeneratorConfig(n=8, p=2, field=GF3, seed=1))
+
+
+# sha256 of matrixfile.dump text: generation must stay byte-reproducible,
+# so any change to the bytes a config produces breaks these.
+GOLDEN = [
+    (256, 4, GF256, 0xB10CC0DE, StripChoice.RANDOM,
+     "b06a5f7e30942e0a5556381512e545eeea0fc4a1dc6cc78fa27272ce464119d1"),
+    (128, 8, GF2, 0xB10CC0DE, StripChoice.FIRST,
+     "5cc540934d48ef07e30772ae983a5b0a97dcf855dda8fbe1d0b10b9e82e04388"),
+    (64, 4, prime_field(65521), 0xB10CC0DE, StripChoice.LAST,
+     "b8d8ee1be7acb4d899412db328c6e81914d1e1bd589874bf7d259e2ae00e1804"),
+    (64, 2, GF3, 0xB10CC0DE, StripChoice.RANDOM,
+     "167bdb7f7f36f574a254b690ce18fcaecba32ffbb0e329e7712fffa9e96b39ef"),
+    (48, 3, GF16, 5, StripChoice.FIRST,
+     "267f364572dc29d134dc943d099ff78c25858dac525c9592a5ee28ed0709c3a2"),
+    (40, 5, prime_field(257), 9, StripChoice.RANDOM,
+     "8f4fe6ae9638f5845ee780e0821860859ede04c9864090807556e0dda16747af"),
+]
+
+
+@pytest.mark.parametrize("n,p,field,seed,strip,digest", GOLDEN)
+def test_generate_golden_bytes(n, p, field, seed, strip, digest):
+    m = generate(GeneratorConfig(n=n, p=p, field=field, seed=seed,
+                                 strip=strip))
+    text = matrixfile.dump(m, p)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_config_validation():
