@@ -47,6 +47,14 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an int literal (any base) in [0, 2^64)."""
+    value = int(text, 0)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} is outside [0, 2^64)")
+    return value
+
+
 def cmd_generate(args) -> int:
     try:
         fld = parse_field(args.field)
@@ -151,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, required=True, help="block size (>= 2)")
     g.add_argument("--field", required=True,
                    help="field notation, e.g. 'gf(2)' or 'gf(2^8;0x11b)'")
-    g.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    g.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit RNG seed (default 0x{DEFAULT_SEED:X})")
     g.add_argument("--strip", choices=[c.value for c in StripChoice],
                    default="first",
@@ -180,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Kronecker-product construction attempt")
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--field", required=True)
-    k.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    k.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     k.add_argument("--max-trials", type=int, default=1000,
                    help="random search cap for large fields")
     k.add_argument("--out", default=None)

@@ -49,36 +49,31 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
         raise ValueError(f"cannot decompose {s.nrows}x{s.ncols} matrix")
     n = s.nrows
     f = s.field
-    sub, mul = f.sub, f.mul
 
     rows = [list(r) for r in s._rows]
     left = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     pivots = _row_reduce(rows, f, left)
     r = len(pivots)
 
-    # Column phase. In RREF, pivot column pc has a lone 1 in pivot row i,
-    # so clearing entry (i, j) with col_j -= rows[i][j] * col_pc touches
-    # no other row; only the right factor needs the full update.
-    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # Column phase, on the right factor held as columns. In RREF, pivot
+    # column pc has a lone 1 in pivot row i, so clearing entry (i, j)
+    # with col_j -= rows[i][j] * col_pc touches no other entry of rows;
+    # only the right factor needs the update, one axpy per operation.
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     pivot_set = set(pivots)
     for i, pc in enumerate(pivots):
-        prow = rows[i]
         for j in range(pc + 1, n):
-            v = prow[j]
+            v = rows[i][j]
             if v and j not in pivot_set:
-                prow[j] = 0
-                for qrow in right:
-                    qrow[j] = sub(qrow[j], mul(v, qrow[pc]))
+                cols[j] = f.axpy(cols[j], f.neg(v), cols[pc])
 
     # Permute pivot columns onto the leading diagonal; the remaining
     # columns keep their relative order.
-    if pivots != list(range(r)):
-        perm = pivots + [j for j in range(n) if j not in pivot_set]
-        rows = [[row[c] for c in perm] for row in rows]
-        right = [[row[c] for c in perm] for row in right]
+    cols = [cols[c] for c in pivots] + [cols[j] for j in range(n)
+                                        if j not in pivot_set]
 
     p_mat = Matrix._new(f, tuple(tuple(row) for row in left))
-    q_mat = Matrix._new(f, tuple(tuple(row) for row in right))
+    q_mat = Matrix._new(f, tuple(zip(*cols)))
     return RankDecomposition(p_mat, q_mat, r)
 
 

@@ -7,6 +7,13 @@ prime field, or the coefficient bitmask for a binary extension field
 type. A FieldSpec validates its parameters once at construction and then
 performs all arithmetic on codes.
 
+Besides scalar arithmetic a FieldSpec owns the two row operations that
+all of the matrix algebra is written in, `scale(xs, a) = a*xs` and
+`axpy(xs, a, ys) = xs + a*ys` on sequences of codes. They are chosen
+once per field (XOR for GF(2), reduction mod p for GF(p), log/exp
+tables for larger GF(2^k)), so no caller ever branches on the field
+kind or reads the tables.
+
 The default modulus for GF(2^k) is the irreducible polynomial of degree
 k with the smallest coefficient mask, a fixed table so that independent
 implementations agree byte-for-byte:
@@ -125,11 +132,13 @@ class FieldSpec:
     """A finite field GF(p) or GF(2^k), operating on int element codes.
 
     Immutable after construction; all methods are pure functions of their
-    arguments, so a FieldSpec may be shared freely across threads.
+    arguments, so a FieldSpec may be shared freely across threads. The
+    attributes `scale(xs, a)` and `axpy(xs, a, ys)` are its row
+    operations (see `_row_ops`).
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
-                 "_exp", "_log")
+                 "scale", "axpy", "_exp", "_log")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -166,6 +175,7 @@ class FieldSpec:
         self.kind = kind
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self.scale, self.axpy = _row_ops(self)
 
     # ------------------------------------------------------------------
     # identity / notation
@@ -204,11 +214,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.kind == PRIME:
             return (a + b) % self.characteristic
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a - b) % self.characteristic
         return a ^ b
 
     def neg(self, a: int) -> int:
@@ -287,6 +292,51 @@ class FieldSpec:
             if all(self._pow_raw(g, n // f) != 1 for f in factors):
                 return g
         raise AssertionError(f"no generator found for {self}")
+
+
+def _row_ops(field: FieldSpec):
+    """The (scale, axpy) pair for `field`; both return a new list.
+
+    scale(xs, a) is [a*x for x in xs]; axpy(xs, a, ys) is
+    [x + a*y for x, y in zip(xs, ys)]. Binary fields of order > 2 read
+    the log/exp tables on every call, so the tables are still built only
+    when the first product is taken.
+    """
+    if field.order == 2:
+        # GF(2): the only nonzero factor is 1, so a row update is an XOR.
+        def scale(xs, a):
+            return list(xs) if a else [0] * len(xs)
+
+        def axpy(xs, a, ys):
+            return [x ^ y for x, y in zip(xs, ys)] if a else list(xs)
+
+    elif field.kind == PRIME:
+        p = field.characteristic
+
+        def scale(xs, a):
+            return [x * a % p for x in xs]
+
+        def axpy(xs, a, ys):
+            return [(x + a * y) % p for x, y in zip(xs, ys)]
+
+    else:
+        tables = field._mul_tables
+
+        def scale(xs, a):
+            if not a:
+                return [0] * len(xs)
+            exp, log = tables()
+            la = log[a]
+            return [exp[la + log[x]] if x else 0 for x in xs]
+
+        def axpy(xs, a, ys):
+            if not a:
+                return list(xs)
+            exp, log = tables()
+            la = log[a]
+            return [x ^ exp[la + log[y]] if y else x for x, y in zip(xs, ys)]
+
+    return scale, axpy
 
 
 def prime_field(p: int) -> FieldSpec:

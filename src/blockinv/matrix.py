@@ -5,16 +5,21 @@ any matrix can be read concurrently. Entries are stored row-major as int
 codes of the attached field. Sizes here are desk scale (a few hundred at
 most), so copying is cheap and no sparse or bit-packed formats are used.
 
-Rank, inversion and the rank decomposition all run through one Gauss-
-Jordan kernel (`_row_reduce`) so there is a single audited elimination
-path. Pivoting picks the first nonzero entry scanning down each column,
+All arithmetic on rows goes through the field's two row operations,
+`scale(xs, a) = a*xs` and `axpy(xs, a, ys) = xs + a*ys` (see field.py),
+so this module never branches on the field kind: addition is one axpy
+per row, a product accumulates one axpy per nonzero left entry, and the
+Kronecker product scales rows. Rank, inversion and the rank
+decomposition all run through one Gauss-Jordan kernel (`_row_reduce`),
+one pivot loop that normalises with scale and eliminates with axpy.
+Pivoting picks the first nonzero entry scanning down each column,
 columns left to right; exact arithmetic needs no magnitude-based pivot
 strategy, and the fixed scan order makes every result bit-reproducible.
 """
 
 from __future__ import annotations
 
-from .field import PRIME, FieldSpec
+from .field import FieldSpec
 
 
 class FieldMismatchError(ValueError):
@@ -29,7 +34,7 @@ def _row_reduce(rows: list[list[int]], field: FieldSpec,
                 mirror: list[list[int]] | None = None) -> list[int]:
     """Reduce `rows` to reduced row-echelon form in place.
 
-    The identical row operations (swap, scale, subtract) are applied
+    The identical row operations (swap, scale, axpy) are applied
     full-width to `mirror` when given, so a caller that passes the
     identity receives the accumulated left transform. Entries left of a
     pivot column are already zero in the pivot row, so updates to `rows`
@@ -37,119 +42,40 @@ def _row_reduce(rows: list[list[int]], field: FieldSpec,
 
     Returns the pivot column indices; their count is the rank.
     """
+    scale, axpy, inv, neg = field.scale, field.axpy, field.inv, field.neg
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-
-    if field.kind == PRIME:
-        p = field.characteristic
-        for c in range(ncols):
-            piv = -1
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if piv < 0:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            if mirror is not None:
+                mirror[r], mirror[piv] = mirror[piv], mirror[r]
+        prow = rows[r]
+        v = prow[c]
+        if v != 1:
+            s = inv(v)
+            prow[c:] = scale(prow[c:], s)
+            if mirror is not None:
+                mirror[r] = scale(mirror[r], s)
+        mrow = mirror[r] if mirror is not None else None
+        ptail = prow[c:]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                nf = neg(f)
+                row = rows[i]
+                row[c:] = axpy(row[c:], nf, ptail)
                 if mirror is not None:
-                    mirror[r], mirror[piv] = mirror[piv], mirror[r]
-            prow = rows[r]
-            v = prow[c]
-            if v != 1:
-                s = pow(v, p - 2, p)
-                prow[c:] = [x * s % p for x in prow[c:]]
-                if mirror is not None:
-                    mirror[r] = [x * s % p for x in mirror[r]]
-            mrow = mirror[r] if mirror is not None else None
-            ptail = prow[c:]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    row = rows[i]
-                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], ptail)]
-                    if mirror is not None:
-                        mirror[i] = [(x - f * y) % p
-                                     for x, y in zip(mirror[i], mrow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-
-    elif field.order == 2:
-        # GF(2): the only nonzero factor is 1, so row updates are XORs.
-        for c in range(ncols):
-            piv = -1
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                if mirror is not None:
-                    mirror[r], mirror[piv] = mirror[piv], mirror[r]
-            prow = rows[r]
-            mrow = mirror[r] if mirror is not None else None
-            ptail = prow[c:]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    row = rows[i]
-                    row[c:] = [x ^ y for x, y in zip(row[c:], ptail)]
-                    if mirror is not None:
-                        mirror[i] = [x ^ y for x, y in zip(mirror[i], mrow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-
-    else:
-        exp, log = field._mul_tables()
-        qm1 = field.order - 1
-        for c in range(ncols):
-            piv = -1
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                if mirror is not None:
-                    mirror[r], mirror[piv] = mirror[piv], mirror[r]
-            prow = rows[r]
-            v = prow[c]
-            if v != 1:
-                ls = qm1 - log[v]  # log of 1/v
-                prow[c:] = [exp[ls + log[x]] if x else 0 for x in prow[c:]]
-                if mirror is not None:
-                    mirror[r] = [exp[ls + log[x]] if x else 0
-                                 for x in mirror[r]]
-            mrow = mirror[r] if mirror is not None else None
-            ptail = prow[c:]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    lf = log[f]
-                    row = rows[i]
-                    row[c:] = [x ^ exp[lf + log[y]] if y else x
-                               for x, y in zip(row[c:], ptail)]
-                    if mirror is not None:
-                        mirror[i] = [x ^ exp[lf + log[y]] if y else x
-                                     for x, y in zip(mirror[i], mrow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-
+                    mirror[i] = axpy(mirror[i], nf, mrow)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
     return pivots
 
 
@@ -197,15 +123,6 @@ class Matrix:
         zero_row = (0,) * ncols
         return cls._new(field, (zero_row,) * nrows)
 
-    @classmethod
-    def from_flat(cls, field: FieldSpec, nrows: int, ncols: int, codes) -> "Matrix":
-        """Build from a row-major flat sequence of codes."""
-        flat = list(codes)
-        if len(flat) != nrows * ncols:
-            raise ValueError(
-                f"expected {nrows * ncols} entries, got {len(flat)}")
-        return cls(field, (flat[i * ncols:(i + 1) * ncols] for i in range(nrows)))
-
     # ------------------------------------------------------------------
     # basics
     # ------------------------------------------------------------------
@@ -218,10 +135,6 @@ class Matrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
-
-    def flat(self) -> list[int]:
-        """Row-major list of entry codes."""
-        return [x for row in self._rows for x in row]
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -257,15 +170,10 @@ class Matrix:
             raise ValueError(
                 f"cannot add {self.nrows}x{self.ncols} and "
                 f"{other.nrows}x{other.ncols}")
-        f = self.field
-        if f.kind == PRIME:
-            p = f.characteristic
-            rows = tuple(tuple((x + y) % p for x, y in zip(ra, rb))
-                         for ra, rb in zip(self._rows, other._rows))
-        else:
-            rows = tuple(tuple(x ^ y for x, y in zip(ra, rb))
-                         for ra, rb in zip(self._rows, other._rows))
-        return Matrix._new(f, rows)
+        axpy = self.field.axpy
+        rows = tuple(tuple(axpy(ra, 1, rb))
+                     for ra, rb in zip(self._rows, other._rows))
+        return Matrix._new(self.field, rows)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -275,38 +183,16 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        f = self.field
-        brows = other._rows
+        axpy = self.field.axpy
+        zero = [0] * other.ncols
         out = []
-        if f.kind == PRIME:
-            p = f.characteristic
-            bcols = list(zip(*brows))
-            for arow in self._rows:
-                out.append(tuple(sum(x * y for x, y in zip(arow, bcol)) % p
-                                 for bcol in bcols))
-        elif f.order == 2:
-            width = other.ncols
-            for arow in self._rows:
-                acc = [0] * width
-                for k, a in enumerate(arow):
-                    if a:
-                        acc = [x ^ y for x, y in zip(acc, brows[k])]
-                out.append(tuple(acc))
-        else:
-            exp, log = f._mul_tables()
-            width = other.ncols
-            for arow in self._rows:
-                acc = [0] * width
-                for k, a in enumerate(arow):
-                    if a:
-                        la = log[a]
-                        acc = [x ^ exp[la + log[y]] if y else x
-                               for x, y in zip(acc, brows[k])]
-                out.append(tuple(acc))
-        return Matrix._new(f, tuple(out))
-
-    def transpose(self) -> "Matrix":
-        return Matrix._new(self.field, tuple(zip(*self._rows)))
+        for arow in self._rows:
+            acc = zero
+            for a, brow in zip(arow, other._rows):
+                if a:
+                    acc = axpy(acc, a, brow)
+            out.append(tuple(acc))
+        return Matrix._new(self.field, tuple(out))
 
     def rank(self) -> int:
         rows = [list(r) for r in self._rows]
@@ -333,13 +219,12 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product: block (i, j) of the result is self[i,j] * other."""
         self._require_same_field(other)
-        f = self.field
-        mul = f.mul
+        scale = self.field.scale
         out = []
         for arow in self._rows:
             for brow in other._rows:
-                out.append(tuple(mul(a, b) for a in arow for b in brow))
-        return Matrix._new(f, tuple(out))
+                out.append(tuple(x for a in arow for x in scale(brow, a)))
+        return Matrix._new(self.field, tuple(out))
 
     def _check_block_size(self, p: int):
         if p < 1:

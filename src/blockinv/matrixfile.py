@@ -120,7 +120,8 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     except FieldError as e:
         raise MatrixFileError(f"bad field: {e}") from None
     nrows, ncols, p = obj["rows"], obj["cols"], obj["p"]
-    if not all(isinstance(v, int) for v in (nrows, ncols, p)):
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               for v in (nrows, ncols, p)):
         raise MatrixFileError("rows, cols and p must be integers")
     _check_shape(nrows, ncols, p)
     data = obj["data"]
@@ -146,4 +147,4 @@ def _build(field, nrows, ncols, rows) -> Matrix:
             if not 0 <= v < field.order:
                 raise MatrixFileError(
                     f"entry {v} out of range for {field}")
-    return Matrix(field, rows)
+    return Matrix._new(field, tuple(tuple(row) for row in rows))

@@ -64,6 +64,14 @@ def test_generate_validation_exit_2(capsys):
                "--field", "gf(6)")[0] == 2
     assert run(capsys, "generate", "--n", "4", "--p", "2",
                "--field", "nonsense")[0] == 2
+    # seeds are 64-bit: out-of-range values are rejected, not reduced
+    for seed in ("-1", "0x10000000000000000", "18446744073709551616"):
+        code, out, err = run(capsys, "generate", "--n", "4", "--p", "2",
+                             "--field", "gf(2)", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "outside [0, 2^64)" in err
+    assert run(capsys, "generate", "--n", "4", "--p", "2", "--field", "gf(2)",
+               "--seed", "0xffffffffffffffff")[0] == 0
 
 
 def test_generate_unknown_flag_exit_2(capsys):
@@ -238,6 +246,9 @@ def test_kron_determinism(capsys):
 def test_kron_validation_exit_2(capsys):
     assert run(capsys, "kron", "--p", "1", "--field", "gf(3)")[0] == 2
     assert run(capsys, "kron", "--p", "2", "--field", "gf(4)")[0] == 2
+    for seed in ("-1", "0x10000000000000000"):
+        assert run(capsys, "kron", "--p", "2", "--field", "gf(3)",
+                   "--seed", seed)[0] == 2
 
 
 # ----------------------------------------------------------------------

@@ -111,8 +111,9 @@ def test_completion_all_ranks_property():
 
 def test_extend_any_invertible_2x2():
     # every invertible 2x2 over GF(2) is a (2, 2) block invertible square
-    for flat in itertools.product((0, 1), repeat=4):
-        m = Matrix.from_flat(GF2, 2, 2, flat)
+    for rows in itertools.product(itertools.product((0, 1), repeat=2),
+                                  repeat=2):
+        m = Matrix(GF2, rows)
         if m.rank() != 2:
             continue
         n = extend(m, 2)
@@ -167,8 +168,9 @@ def test_extend_strip_choices():
 
 def gl22_elements():
     out = []
-    for flat in itertools.product((0, 1), repeat=4):
-        m = Matrix.from_flat(GF2, 2, 2, flat)
+    for rows in itertools.product(itertools.product((0, 1), repeat=2),
+                                  repeat=2):
+        m = Matrix(GF2, rows)
         if m.rank() == 2:
             out.append(m)
     return out
@@ -299,8 +301,9 @@ def test_samples_always_invertible():
 
 def brute_force_gl(p, field):
     q = field.order
-    return sum(1 for flat in itertools.product(range(q), repeat=p * p)
-               if Matrix.from_flat(field, p, p, flat).rank() == p)
+    return sum(1 for rows in itertools.product(
+                   itertools.product(range(q), repeat=p), repeat=p)
+               if Matrix(field, rows).rank() == p)
 
 
 @pytest.mark.parametrize("p,field,expected", [
@@ -344,7 +347,7 @@ def test_no_all_nonzero_matrix_over_gf2(p):
 def test_gf3_kronecker_succeeds():
     res = kronecker_generate(2, GF3, SplitMix64(9))
     assert res.found and res.exhaustive
-    assert all(x != 0 for x in res.factor_a.flat())
+    assert all(x != 0 for row in res.factor_a.to_lists() for x in row)
     assert res.matrix == res.factor_a.kron(res.factor_b)
     assert res.matrix.nrows == 4
     assert verify_blocks(res.matrix, 2).is_block_invertible_square

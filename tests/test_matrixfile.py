@@ -103,6 +103,7 @@ def test_malformed_text_rejected(text):
     lambda o: o.update(data=[[0], [1, 0]]),     # ragged
     lambda o: o.update(data=[[0, 9], [1, 0]]),  # out of range
     lambda o: o.update(data=[[0, True], [1, 0]]),
+    lambda o: o.update(p=True),
 ])
 def test_malformed_json_rejected(mutate):
     obj = json.loads(dump_json(Matrix(GF2, [[0, 1], [1, 0]]), 2))

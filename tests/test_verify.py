@@ -7,7 +7,7 @@ import pytest
 
 from blockinv.construct import GeneratorConfig, generate
 from blockinv.field import binary_field, prime_field
-from blockinv.matrix import Matrix
+from blockinv.matrix import Matrix, SingularMatrixError
 from blockinv.verify import (render_report, render_report_json,
                              report_as_dict, verify_blocks)
 
@@ -61,7 +61,15 @@ def test_grid_dimensions():
         assert all(len(row) == nc // p for row in rep.block_verdicts)
 
 
-def test_verdicts_agree_with_rank_test():
+def invertible_by_inverse(m):
+    try:
+        m.inverse()
+    except SingularMatrixError:
+        return False
+    return True
+
+
+def test_verdicts_agree_with_inverse():
     fixtures = [
         Matrix.identity(GF2, 4),
         Matrix.zeros(GF3, 4, 4),
@@ -77,7 +85,9 @@ def test_verdicts_agree_with_rank_test():
         rep = verify_blocks(m, p)
         for i, row in enumerate(rep.block_verdicts):
             for j, verdict in enumerate(row):
-                assert verdict == (m.block(p, i, j).rank() == p)
+                assert verdict == invertible_by_inverse(m.block(p, i, j))
+        if m.is_square:
+            assert rep.whole_invertible == invertible_by_inverse(m)
 
 
 def test_render_text():
