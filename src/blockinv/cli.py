@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import matrixfile
 from .construct import (DEFAULT_SEED, GeneratorConfig, StripChoice,
@@ -52,6 +51,14 @@ def _seed(text: str) -> int:
     value = int(text, 0)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed {text} is outside [0, 2^64)")
+    return value
+
+
+def _trials(text: str) -> int:
+    """argparse type for --max-trials: a non-negative decimal int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"trial cap {text} is negative")
     return value
 
 
@@ -109,9 +116,8 @@ def cmd_count(args) -> int:
         _err(str(e))
         return 2
     total = args.q ** (args.p * args.p)
-    prob = Fraction(count, total)
     print(f"|GL({args.p}, {args.q})| = {count}")
-    print(f"acceptance probability: {count}/{total} = {float(prob):.6g}")
+    print(f"acceptance probability: {count}/{total} = {count / total:.6g}")
     return 0
 
 
@@ -189,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--field", required=True)
     k.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    k.add_argument("--max-trials", type=int, default=1000,
+    k.add_argument("--max-trials", type=_trials, default=1000,
                    help="random search cap for large fields")
     k.add_argument("--out", default=None)
     k.add_argument("--format", dest="fmt", choices=matrixfile.FORMATS,

@@ -38,6 +38,7 @@ all-nonzero A to use (notably GF(2)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -333,16 +334,6 @@ def kronecker_generate(p: int, field: FieldSpec, rng: SplitMix64,
 
 def _all_nonzero_matrices(p: int, field: FieldSpec):
     """All p x p matrices with every entry nonzero, in row-major code order."""
-    q = field.order
-    cells = p * p
-    codes = [1] * cells
-    while True:
+    for codes in itertools.product(range(1, field.order), repeat=p * p):
         yield Matrix._new(field, tuple(
-            tuple(codes[i * p:(i + 1) * p]) for i in range(p)))
-        k = cells - 1
-        while k >= 0 and codes[k] == q - 1:
-            codes[k] = 1
-            k -= 1
-        if k < 0:
-            return
-        codes[k] += 1
+            codes[i * p:(i + 1) * p] for i in range(p)))

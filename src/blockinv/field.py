@@ -7,12 +7,14 @@ prime field, or the coefficient bitmask for a binary extension field
 type. A FieldSpec validates its parameters once at construction and then
 performs all arithmetic on codes.
 
-Besides scalar arithmetic a FieldSpec owns the two row operations that
+A FieldSpec carries six operations as plain function attributes: the
+scalar `add`, `neg`, `mul` and `inv`, and the two row operations that
 all of the matrix algebra is written in, `scale(xs, a) = a*xs` and
-`axpy(xs, a, ys) = xs + a*ys` on sequences of codes. They are chosen
-once per field (XOR for GF(2), reduction mod p for GF(p), log/exp
-tables for larger GF(2^k)), so no caller ever branches on the field
-kind or reads the tables.
+`axpy(xs, a, ys) = xs + a*ys` on sequences of codes. All six are chosen
+together at construction by one arm per field kind (XOR and AND for
+GF(2), reduction mod p for GF(p), log/exp tables for larger GF(2^k),
+built on the spot), so neither the field nor any caller branches on the
+kind per operation, and no caller reads the tables.
 
 The default modulus for GF(2^k) is the irreducible polynomial of degree
 k with the smallest coefficient mask, a fixed table so that independent
@@ -37,6 +39,7 @@ modulus). Parsing is case-insensitive and whitespace-free.
 
 from __future__ import annotations
 
+import operator
 import re
 
 PRIME = "prime"
@@ -119,6 +122,17 @@ def _poly_mulmod(a: int, b: int, m: int) -> int:
     return _poly_mod(r, m)
 
 
+def _poly_powmod(base: int, e: int, m: int) -> int:
+    """base^e modulo the GF(2) polynomial m, by square-and-multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mulmod(r, base, m)
+        base = _poly_mulmod(base, base, m)
+        e >>= 1
+    return r
+
+
 def _is_irreducible(mask: int, k: int) -> bool:
     """Trial division by every polynomial of degree 1..k//2."""
     for d in range(1, k // 2 + 1):
@@ -131,14 +145,15 @@ def _is_irreducible(mask: int, k: int) -> bool:
 class FieldSpec:
     """A finite field GF(p) or GF(2^k), operating on int element codes.
 
-    Immutable after construction; all methods are pure functions of their
-    arguments, so a FieldSpec may be shared freely across threads. The
-    attributes `scale(xs, a)` and `axpy(xs, a, ys)` are its row
-    operations (see `_row_ops`).
+    Immutable after construction; all operations are pure functions of
+    their arguments, so a FieldSpec may be shared freely across threads.
+    The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`,
+    `scale(xs, a)` and `axpy(xs, a, ys)` are its arithmetic, bound once
+    by `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
-                 "scale", "axpy", "_exp", "_log")
+                 "add", "neg", "mul", "inv", "scale", "axpy")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -173,9 +188,8 @@ class FieldSpec:
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self.scale, self.axpy = _row_ops(self)
+        (self.add, self.neg, self.mul, self.inv,
+         self.scale, self.axpy) = _arithmetic(self)
 
     # ------------------------------------------------------------------
     # identity / notation
@@ -208,110 +222,51 @@ class FieldSpec:
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range for {self}")
 
-    # ------------------------------------------------------------------
-    # arithmetic on codes
-    # ------------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a + b) % self.characteristic
-        return a ^ b
 
-    def neg(self, a: int) -> int:
-        if self.kind == PRIME:
-            return (-a) % self.characteristic
+def _arithmetic(field: FieldSpec):
+    """The (add, neg, mul, inv, scale, axpy) of `field`, one arm per kind.
+
+    scale(xs, a) is [a*x for x in xs] and axpy(xs, a, ys) is
+    [x + a*y for x, y in zip(xs, ys)]; both return a new list. inv(0)
+    raises ZeroDivisionError.
+    """
+    no_inverse = f"0 has no multiplicative inverse in {field}"
+
+    def neg_self(a):
         return a
 
-    def mul(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a * b) % self.characteristic
-        if self.order == 2:
-            return a & b
-        if a == 0 or b == 0:
-            return 0
-        exp, log = self._mul_tables()
-        return exp[log[a] + log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in {self}")
-        if self.kind == PRIME:
-            return pow(a, self.characteristic - 2, self.characteristic)
-        if self.order == 2:
-            return 1
-        exp, log = self._mul_tables()
-        return exp[self.order - 1 - log[a]]
-
-    # ------------------------------------------------------------------
-    # log/exp tables (binary fields with order > 2)
-    # ------------------------------------------------------------------
-    def _mul_tables(self):
-        """Discrete log/antilog tables w.r.t. the smallest generator.
-
-        Built lazily on first multiplication; the exp table is doubled so
-        exp[log[a] + log[b]] never needs a modular reduction.
-        """
-        if self._exp is None:
-            q = self.order
-            g = self._find_generator()
-            exp = [1] * (2 * (q - 1))
-            log = [0] * q
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                exp[i + q - 1] = v
-                log[v] = i
-                v = _poly_mulmod(v, g, self.modulus)
-            # _exp is the guard: set _log first so a concurrent reader
-            # that sees _exp non-None also sees _log
-            self._log = log
-            self._exp = exp
-        return self._exp, self._log
-
-    def _pow_raw(self, base: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = _poly_mulmod(r, base, self.modulus)
-            base = _poly_mulmod(base, base, self.modulus)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        factors = []
-        m, d = n, 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
-        for g in range(2, self.order):
-            if all(self._pow_raw(g, n // f) != 1 for f in factors):
-                return g
-        raise AssertionError(f"no generator found for {self}")
-
-
-def _row_ops(field: FieldSpec):
-    """The (scale, axpy) pair for `field`; both return a new list.
-
-    scale(xs, a) is [a*x for x in xs]; axpy(xs, a, ys) is
-    [x + a*y for x, y in zip(xs, ys)]. Binary fields of order > 2 read
-    the log/exp tables on every call, so the tables are still built only
-    when the first product is taken.
-    """
     if field.order == 2:
-        # GF(2): the only nonzero factor is 1, so a row update is an XOR.
+        # GF(2), spelled gf(2) or gf(2^1): the only nonzero factor is 1,
+        # so a row update is an XOR.
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError(no_inverse)
+            return 1
+
         def scale(xs, a):
             return list(xs) if a else [0] * len(xs)
 
         def axpy(xs, a, ys):
             return [x ^ y for x, y in zip(xs, ys)] if a else list(xs)
 
-    elif field.kind == PRIME:
+        return operator.xor, neg_self, operator.and_, inv, scale, axpy
+
+    if field.kind == PRIME:
         p = field.characteristic
+
+        def add(a, b):
+            return (a + b) % p
+
+        def neg(a):
+            return -a % p
+
+        def mul(a, b):
+            return a * b % p
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError(no_inverse)
+            return pow(a, p - 2, p)
 
         def scale(xs, a):
             return [x * a % p for x in xs]
@@ -319,24 +274,61 @@ def _row_ops(field: FieldSpec):
         def axpy(xs, a, ys):
             return [(x + a * y) % p for x, y in zip(xs, ys)]
 
-    else:
-        tables = field._mul_tables
+        return add, neg, mul, inv, scale, axpy
 
-        def scale(xs, a):
-            if not a:
-                return [0] * len(xs)
-            exp, log = tables()
-            la = log[a]
-            return [exp[la + log[x]] if x else 0 for x in xs]
+    # GF(2^k), k >= 2: discrete log/antilog tables w.r.t. the smallest
+    # generator. The exp table is doubled so exp[log[a] + log[b]] never
+    # needs a modular reduction.
+    q, m = field.order, field.modulus
+    g = _find_generator(q, m)
+    exp = [1] * (2 * (q - 1))
+    log = [0] * q
+    v = 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = v
+        log[v] = i
+        v = _poly_mulmod(v, g, m)
 
-        def axpy(xs, a, ys):
-            if not a:
-                return list(xs)
-            exp, log = tables()
-            la = log[a]
-            return [x ^ exp[la + log[y]] if y else x for x, y in zip(xs, ys)]
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
 
-    return scale, axpy
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError(no_inverse)
+        return exp[q - 1 - log[a]]
+
+    def scale(xs, a):
+        if not a:
+            return [0] * len(xs)
+        la = log[a]
+        return [exp[la + log[x]] if x else 0 for x in xs]
+
+    def axpy(xs, a, ys):
+        if not a:
+            return list(xs)
+        la = log[a]
+        return [x ^ exp[la + log[y]] if y else x for x, y in zip(xs, ys)]
+
+    return operator.xor, neg_self, mul, inv, scale, axpy
+
+
+def _find_generator(q: int, m: int) -> int:
+    """The smallest generator of GF(q)* for the binary modulus m."""
+    n = q - 1
+    factors = []
+    r, d = n, 2
+    while d * d <= r:
+        if r % d == 0:
+            factors.append(d)
+            while r % d == 0:
+                r //= d
+        d += 1
+    if r > 1:
+        factors.append(r)
+    for g in range(2, q):
+        if all(_poly_powmod(g, n // f, m) != 1 for f in factors):
+            return g
+    raise AssertionError(f"no generator of GF({q}) for modulus 0x{m:x}")
 
 
 def prime_field(p: int) -> FieldSpec:
@@ -354,13 +346,19 @@ _BINARY_RE = re.compile(r"gf\(2\^(\d+)(?:;0x([0-9a-f]+))?\)")
 
 
 def parse_field(text: str) -> FieldSpec:
-    """Parse field notation: gf(p), gf(2^k) or gf(2^k;0xMASK)."""
+    """Parse field notation: gf(p), gf(2^k) or gf(2^k;0xMASK).
+
+    Raises FieldError for any text that names no supported field.
+    """
     s = text.strip().lower()
-    m = _BINARY_RE.fullmatch(s)
-    if m:
-        mask = int(m.group(2), 16) if m.group(2) else None
-        return binary_field(int(m.group(1)), mask)
-    m = _PRIME_RE.fullmatch(s)
-    if m:
-        return prime_field(int(m.group(1)))
-    raise FieldError(f"cannot parse field notation {text!r}")
+    m = _BINARY_RE.fullmatch(s) or _PRIME_RE.fullmatch(s)
+    if not m:
+        raise FieldError(f"cannot parse field notation {text!r}")
+    try:
+        size = int(m.group(1))
+    except ValueError:  # longer than the interpreter's int-conversion limit
+        raise UnsupportedSizeError(
+            f"{len(m.group(1))}-digit field size") from None
+    if m.re is _PRIME_RE:
+        return prime_field(size)
+    return binary_field(size, int(m.group(2), 16) if m.group(2) else None)

@@ -106,7 +106,9 @@ def _load_text(text: str) -> tuple[Matrix, int]:
 def _load_json(text: str) -> tuple[Matrix, int]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer literal over the int-conversion
+        # limit, or nesting deeper than the decoder's recursion limit
         raise MatrixFileError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("format") != "bim":
         raise MatrixFileError("not a bim matrix object")

@@ -1,13 +1,17 @@
 """CLI surface: flags, exit codes, determinism, pipelines."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from blockinv import cli
+from blockinv.construct import DEFAULT_SEED, gl_count, kronecker_generate
 from blockinv.matrixfile import dump_text, load
-from blockinv.field import prime_field
+from blockinv.field import parse_field, prime_field
 from blockinv.matrix import Matrix
+from blockinv.rng import SplitMix64
 
 
 def run(capsys, *argv):
@@ -155,6 +159,29 @@ def test_verify_non_utf8_exit_2(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+HUGE = "9" * 5000  # longer than Python's int-conversion limit
+
+
+@pytest.mark.parametrize("content", [
+    f"bim v1\ngf({HUGE})\n2 2 2\n1 0\n0 1\n",
+    json.dumps({"format": "bim", "version": 1, "field": f"gf(2^{HUGE})",
+                "rows": 2, "cols": 2, "p": 2, "data": [[1, 0], [0, 1]]}),
+    '{"a": ' * 200_000,
+    '{"format": "bim", "version": 1, "field": "gf(2)", "rows": 2, '
+    f'"cols": 2, "p": 2, "data": [[{HUGE}, 0], [0, 1]]}}',
+    '{"format": "bim", "version": 1, "field": "gf(2)", '
+    f'"rows": {HUGE}, "cols": 2, "p": 2, "data": [[1, 0], [0, 1]]}}',
+], ids=["text-field", "json-field", "json-deep", "json-huge-data",
+        "json-huge-rows"])
+def test_verify_undecodable_file_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.bim"
+    path.write_text(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("blockinv: ")
+
+
 def test_verify_nonsquare_strip_exit_0(tmp_path, capsys):
     # a block-invertible strip verifies clean even though not square
     from blockinv.construct import GeneratorConfig, generate
@@ -198,6 +225,18 @@ def test_count_2_2(capsys):
 def test_count_more_values(capsys):
     assert "|GL(1, 2)| = 1" in run(capsys, "count", "--p", "1", "--q", "2")[1]
     assert "|GL(3, 2)| = 168" in run(capsys, "count", "--p", "3", "--q", "2")[1]
+
+
+def test_count_probability_matches_exact_fraction(capsys):
+    for p in range(1, 5):
+        for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 256, 65521, 65536):
+            code, out, _ = run(capsys, "count", "--p", str(p), "--q", str(q))
+            assert code == 0
+            count = gl_count(p, q)
+            total = q ** (p * p)
+            exact = float(Fraction(count, total))
+            assert out.splitlines()[1] == (
+                f"acceptance probability: {count}/{total} = {exact:.6g}")
 
 
 def test_count_bad_order_exit_2(capsys):
@@ -246,9 +285,34 @@ def test_kron_determinism(capsys):
 def test_kron_validation_exit_2(capsys):
     assert run(capsys, "kron", "--p", "1", "--field", "gf(3)")[0] == 2
     assert run(capsys, "kron", "--p", "2", "--field", "gf(4)")[0] == 2
+    assert run(capsys, "kron", "--p", "2", "--field", f"gf({HUGE})")[0] == 2
     for seed in ("-1", "0x10000000000000000"):
         assert run(capsys, "kron", "--p", "2", "--field", "gf(3)",
                    "--seed", seed)[0] == 2
+    for field in ("gf(2)", "gf(2^16)"):
+        for trials in ("-1", "-3", "x"):
+            assert run(capsys, "kron", "--p", "2", "--field", field,
+                       "--max-trials", trials)[0] == 2
+
+
+# sha256 of `kron` stdout and the exhaustive search's trial count, at the
+# default seed; the candidates are enumerated in row-major code order
+@pytest.mark.parametrize("p, field, digest, trials", [
+    (2, "gf(3)",
+     "759dcd78cef2e32f24de6e6023d9da459b1eb592caa8c38d673a66d652d7fa28", 2),
+    (2, "gf(5)",
+     "056f36cb6924629d0324b40d8d1a46c11dd5d9b331c43e73a7eb00cb9d923ae4", 2),
+    (2, "gf(2^2)",
+     "87ef1d64d8ef14ef3663f93e61a3c5e1b9e97cf5895b686af6b14a723df565fe", 2),
+    (3, "gf(3)",
+     "8fe37694f3c37d83ac16ccb3bf65b294b30ee1b168c21b2ac651091707432e97", 11),
+])
+def test_kron_golden_bytes(capsys, p, field, digest, trials):
+    code, out, _ = run(capsys, "kron", "--p", str(p), "--field", field)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    res = kronecker_generate(p, parse_field(field), SplitMix64(DEFAULT_SEED))
+    assert res.exhaustive and res.trials == trials
 
 
 # ----------------------------------------------------------------------

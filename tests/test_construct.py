@@ -372,6 +372,14 @@ def test_random_mode_cap_hit_is_inconclusive():
     assert res.trials == 40
 
 
+def test_all_nonzero_candidates_in_row_major_code_order():
+    fld = prime_field(5)
+    got = [m.to_lists() for m in construct._all_nonzero_matrices(2, fld)]
+    want = sorted([list(c[:2]), list(c[2:])]
+                  for c in itertools.product(range(1, 5), repeat=4))
+    assert got == want  # all 256, in lexicographic order
+
+
 def test_kronecker_deterministic():
     a = kronecker_generate(2, GF3, SplitMix64(42))
     b = kronecker_generate(2, GF3, SplitMix64(42))

@@ -143,7 +143,9 @@ def test_binary_mul_matches_long_division_oracle():
 
 
 def test_inverse_of_zero_raises():
-    for f in SMALL_FIELDS:
+    # each arm of the field arithmetic (GF(2), GF(p), GF(2^k)) checks zero
+    for f in SMALL_FIELDS + [binary_field(1), prime_field(65521),
+                             binary_field(16)]:
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
 
@@ -229,7 +231,10 @@ def test_parse_default_modulus():
 
 
 def test_parse_rejects_junk():
-    for bad in ("gf()", "gf(2^)", "gf(-3)", "field(5)", "gf(2^4;13)", ""):
+    huge = "9" * 5000  # longer than Python's int-conversion limit
+    for bad in ("gf()", "gf(2^)", "gf(-3)", "field(5)", "gf(2^4;13)", "",
+                f"gf({huge})", "gf(" + "0" * 4999 + "2)", f"gf(2^{huge})",
+                f"gf(2^{huge};0x11b)"):
         with pytest.raises(FieldError):
             parse_field(bad)
 

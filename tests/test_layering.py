@@ -5,6 +5,10 @@ FieldSpec interface (scalar ops and the row operations scale/axpy), so
 a change of representation, such as bit-packed GF(2) rows, stays inside
 field.py. This test reads the sources with `ast` and fails on any
 reference to the field kind, the log/exp tables or the kind constants.
+
+Inside field.py the kind is read only where it names the field
+(identity and notation) and where `_arithmetic` picks the arm that binds
+a field's operations once, so no operation tests the kind per call.
 """
 
 import ast
@@ -33,6 +37,26 @@ def violations(source: str, module: str) -> list[str]:
     return found
 
 
+KIND_READERS = {"__init__", "__eq__", "__hash__", "__str__", "_arithmetic"}
+
+
+def kind_reads(source: str) -> list[str]:
+    """`.kind` reads in field.py outside the functions allowed to make them."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name  # innermost: a closure is not its maker
+        if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                and func not in KIND_READERS):
+            found.append(f"field.py:{node.lineno} .kind in {func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_package_modules_found():
     assert (PACKAGE / "field.py").is_file()
     assert (PACKAGE / "matrix.py").is_file()
@@ -58,3 +82,25 @@ def test_guard_flags_each_leak(snippet):
 
 def test_guard_allows_package_reexport():
     assert violations("from .field import BINARY, PRIME", "__init__.py") == []
+
+
+def test_field_module_reads_kind_only_to_pick_the_arm():
+    source = (PACKAGE / "field.py").read_text(encoding="utf-8")
+    assert kind_reads(source) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "class F:\n    def mul(self, a, b):\n        return self.kind",
+    "def _row_ops(field):\n    return field.kind",
+    "def _arithmetic(field):\n    def mul(a, b):\n        return field.kind",
+    "x = f.kind",
+])
+def test_kind_guard_flags_each_read(snippet):
+    assert kind_reads(snippet)
+
+
+def test_kind_guard_allows_identity_and_arm_choice():
+    assert kind_reads("class F:\n    def __eq__(self, o):\n"
+                      "        return self.kind == o.kind\n"
+                      "def _arithmetic(field):\n"
+                      "    return field.kind") == []

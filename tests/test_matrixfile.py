@@ -119,6 +119,23 @@ def test_invalid_json_text():
         load("[1, 2, 3]")
 
 
+HUGE_INT = "9" * 5000  # longer than Python's int-conversion limit
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": ' * 200_000,
+    '{"format": "bim", "data": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    dump_json(Matrix(GF2, [[0, 1], [1, 0]]), 2).replace("[[0, 1]",
+                                                        f"[[{HUGE_INT}, 1]"),
+    dump_json(Matrix(GF2, [[0, 1], [1, 0]]), 2).replace('"rows": 2',
+                                                        f'"rows": {HUGE_INT}'),
+    f"bim v1\ngf({HUGE_INT})\n1 1 1\n1\n",
+], ids=["deep-object", "deep-array", "huge-data", "huge-rows", "huge-field"])
+def test_overlong_or_deep_input_rejected(text):
+    with pytest.raises(MatrixFileError):
+        load(text)
+
+
 def test_field_notation_in_file_is_parseable_standalone():
     for field in SAMPLE_FIELDS:
         m = Matrix(field, [[0]])
