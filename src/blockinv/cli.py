@@ -17,6 +17,7 @@ byte-reproducible for identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import matrixfile
@@ -110,13 +111,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    p, q, limit = args.p, args.q, sys.get_int_max_str_digits()
+    # q^(p^2) is printed below; past 4 * limit bits it exceeds 10^limit
+    if limit and p > 0 and q > 1 and not (
+            p <= limit and p * p * math.log2(q) <= 4 * limit
+            and q ** (p * p) < 10 ** limit):
+        _err(f"q^(p^2) has over {limit} digits, too many to print")
+        return 2
     try:
-        count = gl_count(args.p, args.q)
+        count = gl_count(p, q)
     except ValueError as e:
         _err(str(e))
         return 2
-    total = args.q ** (args.p * args.p)
-    print(f"|GL({args.p}, {args.q})| = {count}")
+    total = q ** (p * p)
+    print(f"|GL({p}, {q})| = {count}")
     print(f"acceptance probability: {count}/{total} = {count / total:.6g}")
     return 0
 

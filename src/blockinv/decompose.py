@@ -2,10 +2,10 @@
 
 For any square S over a field there are invertible P and Q with
 P @ S @ Q = diag(I_r, 0) where r = rank(S). This module computes one
-such pair: row operations (recorded as P) bring S to reduced row-echelon
-form, then column operations (recorded as Q) clear the remaining entries
-and permute the pivots onto the leading diagonal. Identical input yields
-bit-identical output.
+such pair: reducing [S | I] brings S to reduced row-echelon form and
+leaves P in the right half, then column operations (recorded as Q) clear
+the remaining entries and permute the pivots onto the leading diagonal.
+Identical input yields bit-identical output.
 
 Note the orientation: P and Q multiply S into the normal form, which is
 what the corner-completion step consumes; they are the inverses of the
@@ -50,9 +50,9 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
     n = s.nrows
     f = s.field
 
-    rows = [list(r) for r in s._rows]
-    left = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivots = _row_reduce(rows, f, left)
+    rows = [list(r) + [1 if i == j else 0 for j in range(n)]
+            for i, r in enumerate(s._rows)]
+    pivots = _row_reduce(rows, f, n)
     r = len(pivots)
 
     # Column phase, on the right factor held as columns. In RREF, pivot
@@ -72,7 +72,7 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
     cols = [cols[c] for c in pivots] + [cols[j] for j in range(n)
                                         if j not in pivot_set]
 
-    p_mat = Matrix._new(f, tuple(tuple(row) for row in left))
+    p_mat = Matrix._new(f, tuple(tuple(row[n:]) for row in rows))
     q_mat = Matrix._new(f, tuple(zip(*cols)))
     return RankDecomposition(p_mat, q_mat, r)
 

@@ -90,6 +90,12 @@ class UnsupportedSizeError(FieldError):
     """Field size outside the supported range."""
 
 
+def _clip(text: str) -> str:
+    """Input quoted in an error message: 40 characters, then its length."""
+    return (text if len(text) <= 40
+            else f"{text[:40]}... ({len(text)} characters)")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -161,7 +167,8 @@ class FieldSpec:
             if modulus is not None:
                 raise FieldError("prime fields take no modulus polynomial")
             if size >= MAX_PRIME:
-                raise UnsupportedSizeError(f"prime {size} is >= 2^16")
+                raise UnsupportedSizeError(
+                    f"prime {_clip(str(size))} is >= 2^16")
             if not _is_prime(size):
                 raise NotPrimeError(f"{size} is not prime")
             self.characteristic = size
@@ -171,13 +178,14 @@ class FieldSpec:
         elif kind == BINARY:
             if not 1 <= size <= MAX_DEGREE:
                 raise UnsupportedSizeError(
-                    f"extension degree {size} outside 1..{MAX_DEGREE}")
+                    f"extension degree {_clip(str(size))} "
+                    f"outside 1..{MAX_DEGREE}")
             if modulus is None:
                 modulus = DEFAULT_MODULUS[size]
             if modulus.bit_length() - 1 != size:
                 raise DegreeMismatchError(
-                    f"modulus 0x{modulus:x} has degree {modulus.bit_length() - 1}, "
-                    f"expected {size}")
+                    f"modulus {_clip(f'0x{modulus:x}')} has degree "
+                    f"{modulus.bit_length() - 1}, expected {size}")
             if not _is_irreducible(modulus, size):
                 raise ReduciblePolynomialError(
                     f"modulus 0x{modulus:x} is reducible over GF(2)")
@@ -211,16 +219,15 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self})"
 
-    def elements(self) -> range:
-        """All element codes 0 .. order-1."""
-        return range(self.order)
-
-    def validate_code(self, code) -> None:
-        """Raise ValueError unless code is a canonical element of this field."""
-        if not isinstance(code, int) or isinstance(code, bool):
-            raise ValueError(f"element code must be an int, got {code!r}")
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for {self}")
+    def validate_codes(self, codes) -> None:
+        """Raise ValueError unless every code is a canonical element here."""
+        for code in codes:
+            if not isinstance(code, int) or isinstance(code, bool):
+                raise ValueError(
+                    f"element code must be an int, got {_clip(repr(code))}")
+            if not 0 <= code < self.order:
+                raise ValueError(
+                    f"code {_clip(str(code))} out of range for {self}")
 
 
 def _arithmetic(field: FieldSpec):
@@ -353,12 +360,12 @@ def parse_field(text: str) -> FieldSpec:
     s = text.strip().lower()
     m = _BINARY_RE.fullmatch(s) or _PRIME_RE.fullmatch(s)
     if not m:
-        raise FieldError(f"cannot parse field notation {text!r}")
+        raise FieldError(f"cannot parse field notation {_clip(repr(text))}")
     try:
         size = int(m.group(1))
     except ValueError:  # longer than the interpreter's int-conversion limit
         raise UnsupportedSizeError(
-            f"{len(m.group(1))}-digit field size") from None
+            f"over-long field size ({len(m.group(1))} digits)") from None
     if m.re is _PRIME_RE:
         return prime_field(size)
     return binary_field(size, int(m.group(2), 16) if m.group(2) else None)

@@ -11,10 +11,12 @@ so this module never branches on the field kind: addition is one axpy
 per row, a product accumulates one axpy per nonzero left entry, and the
 Kronecker product scales rows. Rank, inversion and the rank
 decomposition all run through one Gauss-Jordan kernel (`_row_reduce`),
-one pivot loop that normalises with scale and eliminates with axpy.
-Pivoting picks the first nonzero entry scanning down each column,
-columns left to right; exact arithmetic needs no magnitude-based pivot
-strategy, and the fixed scan order makes every result bit-reproducible.
+one pivot loop that normalises with scale and eliminates with axpy;
+inversion and the rank decomposition reduce [A | I] and read the left
+transform off the right half. Pivoting picks the first nonzero entry
+scanning down each column, columns left to right; exact arithmetic needs
+no magnitude-based pivot strategy, and the fixed scan order makes every
+result bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,47 +33,37 @@ class SingularMatrixError(ValueError):
 
 
 def _row_reduce(rows: list[list[int]], field: FieldSpec,
-                mirror: list[list[int]] | None = None) -> list[int]:
+                width: int | None = None) -> list[int]:
     """Reduce `rows` to reduced row-echelon form in place.
 
-    The identical row operations (swap, scale, axpy) are applied
-    full-width to `mirror` when given, so a caller that passes the
-    identity receives the accumulated left transform. Entries left of a
-    pivot column are already zero in the pivot row, so updates to `rows`
-    start at the pivot column.
+    Pivots are sought in the first `width` columns (default: all) and
+    each swap, scale and axpy applies to the whole row, so reducing
+    [A | I] with width = ncols(A) leaves the left transform in the right
+    half. Entries left of a pivot column are already zero in the pivot
+    row, so updates start at the pivot column.
 
-    Returns the pivot column indices; their count is the rank.
+    Returns the pivot columns; their count is the rank of that part.
     """
     scale, axpy, inv, neg = field.scale, field.axpy, field.inv, field.neg
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if width is None else width):
         piv = next((i for i in range(r, nrows) if rows[i][c]), -1)
         if piv < 0:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            if mirror is not None:
-                mirror[r], mirror[piv] = mirror[piv], mirror[r]
         prow = rows[r]
         v = prow[c]
         if v != 1:
-            s = inv(v)
-            prow[c:] = scale(prow[c:], s)
-            if mirror is not None:
-                mirror[r] = scale(mirror[r], s)
-        mrow = mirror[r] if mirror is not None else None
+            prow[c:] = scale(prow[c:], inv(v))
         ptail = prow[c:]
         for i in range(nrows):
             f = rows[i][c]
             if f and i != r:
-                nf = neg(f)
                 row = rows[i]
-                row[c:] = axpy(row[c:], nf, ptail)
-                if mirror is not None:
-                    mirror[i] = axpy(mirror[i], nf, mrow)
+                row[c:] = axpy(row[c:], neg(f), ptail)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -92,8 +84,7 @@ class Matrix:
         for row in data:
             if len(row) != w:
                 raise ValueError("rows have inconsistent lengths")
-            for code in row:
-                field.validate_code(code)
+            field.validate_codes(row)
         self.field = field
         self.nrows = len(data)
         self.ncols = w
@@ -129,9 +120,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
@@ -203,12 +191,12 @@ class Matrix:
         if not self.is_square:
             raise ValueError(f"cannot invert {self.nrows}x{self.ncols} matrix")
         n = self.nrows
-        rows = [list(r) for r in self._rows]
-        mirror = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if len(_row_reduce(rows, self.field, mirror)) != n:
+        rows = [list(r) + [1 if i == j else 0 for j in range(n)]
+                for i, r in enumerate(self._rows)]  # [A | I]
+        if len(_row_reduce(rows, self.field, n)) != n:
             raise SingularMatrixError(
                 f"{n}x{n} matrix over {self.field} is singular")
-        return Matrix._new(self.field, tuple(tuple(r) for r in mirror))
+        return Matrix._new(self.field, tuple(tuple(r[n:]) for r in rows))
 
     def is_invertible(self) -> bool:
         return self.is_square and self.rank() == self.nrows

@@ -15,16 +15,16 @@ fields::
     {"format": "bim", "version": 1, "field": "gf(2)", "rows": 6,
      "cols": 6, "p": 2, "data": [[1,0,...], ...]}
 
-Both writers are byte-deterministic, loaders validate every code against
-the field order, and load(save(m)) reproduces the matrix exactly,
-modulus included (binary field notation always spells out the modulus).
+Both writers are byte-deterministic, loaders leave the element codes to
+the field (through `Matrix`), and load(save(m)) reproduces the matrix
+exactly, modulus included (binary field notation spells out the modulus).
 """
 
 from __future__ import annotations
 
 import json
 
-from .field import FieldError, parse_field
+from .field import FieldError, _clip, parse_field
 from .matrix import Matrix
 
 MAGIC = "bim v1"
@@ -77,30 +77,34 @@ def _load_text(text: str) -> tuple[Matrix, int]:
     if len(lines) < 4:
         raise MatrixFileError("file too short for a matrix")
     if lines[0].strip() != MAGIC:
-        raise MatrixFileError(f"bad magic line {lines[0]!r}, expected {MAGIC!r}")
+        raise MatrixFileError(
+            f"bad magic line {_clip(repr(lines[0]))}, expected {MAGIC!r}")
     try:
         field = parse_field(lines[1])
     except FieldError as e:
         raise MatrixFileError(f"bad field line: {e}") from None
-    header = lines[2].split()
-    if len(header) != 3:
-        raise MatrixFileError(f"header line must be 'rows cols p', got {lines[2]!r}")
-    try:
-        nrows, ncols, p = (int(h) for h in header)
-    except ValueError:
-        raise MatrixFileError(f"non-integer header fields in {lines[2]!r}") from None
+    if len(lines[2].split()) != 3:
+        raise MatrixFileError(
+            f"header line must be 'rows cols p', got {_clip(repr(lines[2]))}")
+    nrows, ncols, p = _ints(lines[2], "header fields in")
     _check_shape(nrows, ncols, p)
     body = [ln for ln in lines[3:] if ln.strip()]
     if len(body) != nrows:
-        raise MatrixFileError(f"expected {nrows} data rows, found {len(body)}")
-    rows = []
-    for ln in body:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise MatrixFileError(f"non-integer entry in row {ln!r}") from None
-        rows.append(row)
-    return _build(field, nrows, ncols, rows), p
+        raise MatrixFileError(
+            f"expected {_clip(str(nrows))} data rows, found {len(body)}")
+    rows = [_ints(ln, "entry in row") for ln in body]
+    return _build(field, ncols, rows), p
+
+
+def _ints(line: str, what: str) -> list[int]:
+    """The whitespace-separated decimal ints on one line of a text file."""
+    tokens = line.split()
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:  # digits that int() refuses are over its length limit
+        bad = ("over-long" if all((t[1:] if t[0] in "+-" else t).isdecimal()
+                                  for t in tokens) else "non-integer")
+        raise MatrixFileError(f"{bad} {what} {_clip(repr(line))}") from None
 
 
 def _load_json(text: str) -> tuple[Matrix, int]:
@@ -113,7 +117,8 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     if not isinstance(obj, dict) or obj.get("format") != "bim":
         raise MatrixFileError("not a bim matrix object")
     if obj.get("version") != 1:
-        raise MatrixFileError(f"unsupported version {obj.get('version')!r}")
+        raise MatrixFileError(
+            f"unsupported version {_clip(repr(obj.get('version')))}")
     for key in ("field", "rows", "cols", "p", "data"):
         if key not in obj:
             raise MatrixFileError(f"missing key {key!r}")
@@ -128,25 +133,25 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     _check_shape(nrows, ncols, p)
     data = obj["data"]
     if not isinstance(data, list) or len(data) != nrows:
-        raise MatrixFileError(f"data must be a list of {nrows} rows")
-    return _build(field, nrows, ncols, data), p
+        raise MatrixFileError(
+            f"data must be a list of {_clip(str(nrows))} rows")
+    return _build(field, ncols, data), p
 
 
 def _check_shape(nrows: int, ncols: int, p: int):
     if nrows < 1 or ncols < 1:
-        raise MatrixFileError(f"bad dimensions {nrows}x{ncols}")
+        raise MatrixFileError(
+            f"bad dimensions {_clip(str(nrows))}x{_clip(str(ncols))}")
     if p < 1:
-        raise MatrixFileError(f"bad block size {p}")
+        raise MatrixFileError(f"bad block size {_clip(str(p))}")
 
 
-def _build(field, nrows, ncols, rows) -> Matrix:
+def _build(field, ncols, rows) -> Matrix:
     for row in rows:
         if not isinstance(row, list) or len(row) != ncols:
-            raise MatrixFileError(f"expected {ncols} entries per row")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise MatrixFileError(f"non-integer entry {v!r}")
-            if not 0 <= v < field.order:
-                raise MatrixFileError(
-                    f"entry {v} out of range for {field}")
-    return Matrix._new(field, tuple(tuple(row) for row in rows))
+            raise MatrixFileError(
+                f"expected {_clip(str(ncols))} entries per row")
+    try:
+        return Matrix(field, rows)
+    except ValueError as e:  # a code the field rejects
+        raise MatrixFileError(str(e)) from None

@@ -2,11 +2,10 @@
 
 `verify_blocks` decides every p x p block (and, for a square matrix,
 the whole matrix) by rank: a square matrix is invertible exactly when
-its rank is its size, and computing the rank skips the identity mirror
-that an inverse would carry through the elimination. The verdicts go
-into a BlockReport; the test suite cross-checks every one against
-whether `inverse()` succeeds. Verdicts are gathered in row-major block
-order, so the report is deterministic.
+its rank is its size. It is the one place this is decided: `extend`
+checks its input through it, and the test suite cross-checks every
+verdict against whether `inverse()` succeeds. Verdicts are gathered in
+row-major block order, so the report is deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .field import _clip
 from .matrix import Matrix
 
 
@@ -40,8 +40,8 @@ def verify_blocks(m: Matrix, p: int) -> BlockReport:
     if p < 1:
         raise ValueError("block size must be positive")
     if m.nrows % p or m.ncols % p:
-        raise ValueError(
-            f"block size {p} must divide dimensions {m.nrows}x{m.ncols}")
+        raise ValueError(f"block size {_clip(str(p))} must divide "
+                         f"dimensions {m.nrows}x{m.ncols}")
 
     verdicts = []
     failing = []

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,49 @@ def test_verify_undecodable_file_exit_2(tmp_path, capsys, content):
     assert err.startswith("blockinv: ")
 
 
+def _bim_json(**fields):
+    obj = {"format": "bim", "version": 1, "field": "gf(2)", "rows": 1,
+           "cols": 1, "p": 1, "data": [[1]]}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+LONG = "x" * 100_000
+DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
+
+
+# malformed input, and a word the message must contain
+@pytest.mark.parametrize("content, word", [
+    (f"{LONG}\ngf(2)\n1 1 1\n1\n", "magic"),
+    (f"bim v1\ngf(2)\n{LONG}\n1\n", "header"),
+    (f"bim v1\ngf(2)\n1 1 {LONG}\n1\n", "non-integer header"),
+    (f"bim v1\n{LONG}\n1 1 1\n1\n", "field"),
+    (_bim_json(version=LONG), "version"),
+    (f"bim v1\ngf(2^{DIGITS})\n1 1 1\n1\n", "extension degree"),
+    (f"bim v1\ngf({DIGITS})\n1 1 1\n1\n", "prime"),
+    (f"bim v1\ngf(2)\n{DIGITS} 1 1\n1\n", "data rows"),
+    (f"bim v1\ngf(2)\n1 {DIGITS} 1\n1\n", "entries per row"),
+    (f"bim v1\ngf(2)\n-{DIGITS} 1 1\n1\n", "dimensions"),
+    (f"bim v1\ngf(2)\n1 1 -{DIGITS}\n1\n", "block size"),
+    (f"bim v1\ngf(2)\n1 1 {DIGITS}\n1\n", "must divide"),
+    (_bim_json(rows=int(DIGITS)), "list of"),
+    (f"bim v1\ngf(2)\n1 1 1\n{HUGE}\n", "over-long entry in row '99"),
+    (f"bim v1\ngf(2)\n1 1 1\n{DIGITS}\n", "out of range"),
+    (_bim_json(data=[[LONG]]), "must be an int"),
+    (f"bim v1\ngf(2^8;0x{'f' * 5000})\n1 1 1\n1\n", "has degree"),
+], ids=["magic", "header", "header-token", "field", "json-version",
+        "binary-degree", "prime", "rows", "cols", "negative-rows",
+        "negative-p", "file-p", "json-rows", "data-token", "data-code",
+        "json-data-string", "hex-mask"])
+def test_verify_bounds_echoed_input(tmp_path, capsys, content, word):
+    path = tmp_path / "bad.bim"
+    path.write_text(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 300 and err.count("\n") == 1
+    assert word in err
+
+
 def test_verify_nonsquare_strip_exit_0(tmp_path, capsys):
     # a block-invertible strip verifies clean even though not square
     from blockinv.construct import GeneratorConfig, generate
@@ -237,6 +281,23 @@ def test_count_probability_matches_exact_fraction(capsys):
             exact = float(Fraction(count, total))
             assert out.splitlines()[1] == (
                 f"acceptance probability: {count}/{total} = {exact:.6g}")
+
+
+def test_count_largest_printable(capsys):
+    code, out, _ = run(capsys, "count", "--p", "119", "--q", "2")
+    assert code == 0
+    count = gl_count(119, 2)
+    assert len(str(count)) == 4263
+    assert out.splitlines()[0] == f"|GL(119, 2)| = {count}"
+
+
+@pytest.mark.parametrize("p, q", [(120, 2), (300, 3), (3000, 2), (60, 65521)])
+def test_count_too_large_to_print_exit_2(capsys, p, q):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--p", str(p), "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "digits" in err
 
 
 def test_count_bad_order_exit_2(capsys):

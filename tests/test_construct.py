@@ -149,6 +149,37 @@ def test_extend_rejects_bad_input():
         extend(Matrix.zeros(GF2, 2, 3), 2)  # not square
 
 
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+def test_extend_rejects_exactly_what_verify_blocks_rejects(field):
+    # generated 6x6 matrices with up to three entries overwritten: good
+    # inputs, singular wholes and singular blocks all occur
+    rng = SplitMix64(0xE7E0 + field.order)
+    outcomes = set()
+    for seed in range(150):
+        rows = generate(GeneratorConfig(n=6, p=2, field=field,
+                                        seed=seed)).to_lists()
+        for _ in range(rng.below(4)):
+            rows[rng.below(6)][rng.below(6)] = rng.below(field.order)
+        m = Matrix(field, rows)
+        rep = verify_blocks(m, 2)
+        if rep.is_block_invertible_square:
+            outcomes.add("ok")
+            assert extend(m, 2).nrows == 8
+            continue
+        if not rep.whole_invertible:
+            outcomes.add("singular, blocks fail" if rep.failing_blocks
+                         else "singular")
+            msg = "input matrix is singular"
+        else:
+            outcomes.add("blocks fail")
+            i, j = rep.failing_blocks[0]
+            msg = rf"input block \({i}, {j}\) is singular"
+        with pytest.raises(NotBlockInvertibleError, match=msg):
+            extend(m, 2)
+    assert outcomes == {"ok", "singular", "singular, blocks fail",
+                        "blocks fail"}
+
+
 def test_extend_strip_choices():
     base = generate(GeneratorConfig(n=6, p=2, field=GF5, seed=11))
     first = extend(base, 2, StripChoice.FIRST)

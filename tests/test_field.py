@@ -130,8 +130,8 @@ def test_binary_mul_matches_long_division_oracle():
                 prod ^= b << i
         return poly_long_division_remainder(prod, modulus)
 
-    for a in GF16.elements():
-        for b in GF16.elements():
+    for a in range(GF16.order):
+        for b in range(GF16.order):
             assert GF16.mul(a, b) == oracle_mul(a, b, GF16.modulus)
 
     rnd = random.Random(1)
@@ -202,14 +202,18 @@ def test_gf256_distributes(a, b, c):
         GF256.mul(a, b), GF256.mul(a, c))
 
 
-def test_validate_code():
-    GF5.validate_code(4)
+def test_validate_codes():
+    GF5.validate_codes([4])
     with pytest.raises(ValueError):
-        GF5.validate_code(5)
+        GF5.validate_codes([5])
     with pytest.raises(ValueError):
-        GF5.validate_code(-1)
+        GF5.validate_codes([-1])
     with pytest.raises(ValueError):
-        GF5.validate_code(True)
+        GF5.validate_codes([True])
+    # a whole row is checked, up to its last entry
+    GF5.validate_codes([0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match="code 5 out of range for gf"):
+        GF5.validate_codes([0, 1, 2, 3, 5])
 
 
 # ----------------------------------------------------------------------

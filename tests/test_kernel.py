@@ -70,7 +70,7 @@ def _check_row_ops(field, coeffs, xs, ys):
 @pytest.mark.parametrize("field", [prime_field(2), prime_field(5),
                                    binary_field(4)], ids=str)
 def test_row_ops_match_scalar_ops_exhaustively(field):
-    elems = list(field.elements())
+    elems = list(range(field.order))
     xs = [x for x in elems for _ in elems]
     ys = [y for _ in elems for y in elems]
     _check_row_ops(field, elems, xs, ys)

@@ -9,9 +9,13 @@ reference to the field kind, the log/exp tables or the kind constants.
 Inside field.py the kind is read only where it names the field
 (identity and notation) and where `_arithmetic` picks the arm that binds
 a field's operations once, so no operation tests the kind per call.
+
+The runtime is stdlib-only: no module of the package imports anything
+outside the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,42 @@ def test_kind_guard_allows_identity_and_arm_choice():
                       "        return self.kind == o.kind\n"
                       "def _arithmetic(field):\n"
                       "    return field.kind") == []
+
+
+def non_stdlib_imports(source: str, module: str) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend(f"{module}:{node.lineno} {name}" for name in names
+                     if name.partition(".")[0] not in sys.stdlib_module_names)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8"),
+                              path.name) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "import numpy",
+    "import numpy.linalg as la",
+    "from numpy import zeros",
+    "import json, galois",
+])
+def test_stdlib_guard_flags_third_party_imports(snippet):
+    assert non_stdlib_imports(snippet, "matrix.py")
+
+
+def test_stdlib_guard_allows_stdlib_and_relative_imports():
+    assert non_stdlib_imports("from __future__ import annotations\n"
+                              "import json, os.path\n"
+                              "from .field import FieldSpec\n"
+                              "from . import matrixfile", "cli.py") == []

@@ -1,5 +1,6 @@
 """Matrix file round trips and malformed-input handling."""
 
+import enum
 import json
 import random
 
@@ -110,6 +111,26 @@ def test_malformed_json_rejected(mutate):
     mutate(obj)
     with pytest.raises(MatrixFileError):
         load(json.dumps(obj))
+
+
+class Code(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("code", [-1, GF7.order, True, 1.5, "1", None],
+                         ids=repr)
+def test_loader_and_constructor_reject_the_same_codes(code):
+    with pytest.raises(ValueError) as direct:
+        Matrix(GF7, [[code]])
+    obj = json.loads(dump_json(Matrix(GF7, [[0]]), 1))
+    obj["data"] = [[code]]
+    with pytest.raises(MatrixFileError) as loaded:
+        load(json.dumps(obj))
+    assert str(loaded.value) == str(direct.value)
+
+
+def test_int_subclass_code_accepted():
+    assert Matrix(GF7, [[Code.ONE]]) == Matrix(GF7, [[1]])
 
 
 def test_invalid_json_text():
