@@ -15,8 +15,7 @@ from .construct import (DEFAULT_SEED, GeneratorConfig, KroneckerResult,
                         corner_completion, extend, generate, gl_count,
                         kronecker_generate, perturbation_matrix,
                         random_invertible)
-from .decompose import (RankDecomposition, decomposition_check,
-                        rank_decompose, rank_normal_form)
+from .decompose import RankDecomposition, rank_decompose, rank_normal_form
 from .field import (BINARY, PRIME, DegreeMismatchError, FieldError,
                     FieldSpec, NotPrimeError, ReduciblePolynomialError,
                     UnsupportedSizeError, binary_field, parse_field,
@@ -52,7 +51,6 @@ __all__ = [
     "UnsupportedSizeError",
     "binary_field",
     "corner_completion",
-    "decomposition_check",
     "extend",
     "generate",
     "gl_count",

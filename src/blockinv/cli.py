@@ -23,7 +23,7 @@ import sys
 from . import matrixfile
 from .construct import (DEFAULT_SEED, GeneratorConfig, StripChoice,
                         generate, gl_count, kronecker_generate)
-from .field import FieldError, parse_field
+from .field import FieldError, _clip, parse_field
 from .matrixfile import MatrixFileError
 from .rng import SplitMix64
 from .verify import render_report, render_report_json, verify_blocks
@@ -47,19 +47,29 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
+def _int(text: str, base: int = 10) -> int:
+    """argparse type for an int option; a malformed value is quoted clipped."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_clip(repr(text))}") from None
+
+
 def _seed(text: str) -> int:
     """argparse type for --seed: an int literal (any base) in [0, 2^64)."""
-    value = int(text, 0)
+    value = _int(text, 0)
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed {text} is outside [0, 2^64)")
+        raise argparse.ArgumentTypeError(
+            f"seed {_clip(text)} is outside [0, 2^64)")
     return value
 
 
 def _trials(text: str) -> int:
     """argparse type for --max-trials: a non-negative decimal int."""
-    value = int(text)
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"trial cap {text} is negative")
+        raise argparse.ArgumentTypeError(f"trial cap {_clip(text)} is negative")
     return value
 
 
@@ -169,23 +179,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate",
                        help="build an (n, p) block invertible square matrix")
-    g.add_argument("--n", type=int, required=True, help="matrix dimension")
-    g.add_argument("--p", type=int, required=True, help="block size (>= 2)")
+    g.add_argument("--n", type=_int, required=True, help="matrix dimension")
+    g.add_argument("--p", type=_int, required=True, help="block size (>= 2)")
     g.add_argument("--field", required=True,
                    help="field notation, e.g. 'gf(2)' or 'gf(2^8;0x11b)'")
     g.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit RNG seed (default 0x{DEFAULT_SEED:X})")
-    g.add_argument("--strip", choices=[c.value for c in StripChoice],
+    # type=_clip on a choices option: argparse quotes a rejected choice
+    # after conversion, so an over-long one is quoted clipped
+    g.add_argument("--strip", type=_clip,
+                   choices=[c.value for c in StripChoice],
                    default="first",
                    help="which block row/column borders each step")
     g.add_argument("--out", default=None, help="output path (default stdout)")
-    g.add_argument("--format", dest="fmt", choices=matrixfile.FORMATS,
+    g.add_argument("--format", dest="fmt", type=_clip,
+                   choices=matrixfile.FORMATS,
                    default=matrixfile.TEXT)
     g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("verify", help="check a matrix file block by block")
     v.add_argument("path", help="matrix file (text or json)")
-    v.add_argument("--p", type=int, default=None,
+    v.add_argument("--p", type=_int, default=None,
                    help="block size (default: the file's p field)")
     v.add_argument("--quiet", action="store_true", help="summary lines only")
     v.add_argument("--json", dest="as_json", action="store_true",
@@ -194,19 +208,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("count",
                        help="|GL(p, q)| and rejection acceptance probability")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--q", type=int, required=True, help="field order (prime power)")
+    c.add_argument("--p", type=_int, required=True)
+    c.add_argument("--q", type=_int, required=True, help="field order (prime power)")
     c.set_defaults(func=cmd_count)
 
     k = sub.add_parser("kron",
                        help="Kronecker-product construction attempt")
-    k.add_argument("--p", type=int, required=True)
+    k.add_argument("--p", type=_int, required=True)
     k.add_argument("--field", required=True)
     k.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     k.add_argument("--max-trials", type=_trials, default=1000,
                    help="random search cap for large fields")
     k.add_argument("--out", default=None)
-    k.add_argument("--format", dest="fmt", choices=matrixfile.FORMATS,
+    k.add_argument("--format", dest="fmt", type=_clip,
+                   choices=matrixfile.FORMATS,
                    default=matrixfile.TEXT)
     k.set_defaults(func=cmd_kron)
 

@@ -44,7 +44,7 @@ from enum import Enum
 from math import prod
 
 from .decompose import rank_decompose
-from .field import FieldSpec
+from .field import FieldSpec, _clip, _is_prime
 from .matrix import Matrix
 from .rng import SplitMix64
 from .verify import verify_blocks
@@ -78,10 +78,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("block size p must be at least 2")
+        n, p = _clip(str(self.n)), _clip(str(self.p))
         if self.n < self.p:
-            raise ValueError(f"n={self.n} must be at least p={self.p}")
+            raise ValueError(f"n={n} must be at least p={p}")
         if self.n % self.p:
-            raise ValueError(f"p={self.p} must divide n={self.n}")
+            raise ValueError(f"p={p} must divide n={n}")
 
 
 def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
@@ -238,25 +239,36 @@ def generate(config: GeneratorConfig) -> Matrix:
 
 
 def gl_count(p: int, q: int) -> int:
-    """|GL(p, q)|: the number of invertible p x p matrices over GF(q)."""
+    """|GL(p, q)|: the number of invertible p x p matrices over GF(q).
+
+    q must be a prime power below 2^64.
+    """
     if p < 1:
         raise ValueError("dimension must be positive")
+    if q >= 1 << 64:
+        raise ValueError(f"field order of {q.bit_length()} bits is not "
+                         f"below 2^64")
     if not _is_prime_power(q):
-        raise ValueError(f"{q} is not a prime power")
+        raise ValueError(f"{_clip(str(q))} is not a prime power")
     return prod(q ** p - q ** i for i in range(p))
 
 
 def _is_prime_power(q: int) -> bool:
+    """Whether q = r^k for a prime r and k >= 1; exact for q < 2^64.
+
+    The first exact k-th root c of q (2 <= k < bit length) decides it,
+    since q is a prime power exactly when c is; with no such root, q is
+    a prime power only if it is prime. A float root is exact to within
+    one for q < 2^64, so the neighbours settle it.
+    """
     if q < 2:
         return False
-    c = 2
-    while c * c <= q:
-        if q % c == 0:
-            while q % c == 0:
-                q //= c
-            return q == 1
-        c += 1
-    return True  # q itself is prime
+    for k in range(2, q.bit_length()):
+        r = round(q ** (1 / k))
+        for c in (r - 1, r, r + 1):
+            if c ** k == q:
+                return _is_prime_power(c)
+    return _is_prime(q)
 
 
 #: Exhaustive all-nonzero search is used when q^(p*p) stays below this.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldSpec
-from .matrix import Matrix, SingularMatrixError, _row_reduce
+from .matrix import Matrix, _augmented, _row_reduce
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,16 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
     n = s.nrows
     f = s.field
 
-    rows = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(s._rows)]
+    rows = _augmented(s)
     pivots = _row_reduce(rows, f, n)
+    rows = [f.unpack(row, 2 * n) for row in rows]
     r = len(pivots)
 
     # Column phase, on the right factor held as columns. In RREF, pivot
     # column pc has a lone 1 in pivot row i, so clearing entry (i, j)
     # with col_j -= rows[i][j] * col_pc touches no other entry of rows;
     # only the right factor needs the update, one axpy per operation.
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols = [f.pack([1 if i == j else 0 for i in range(n)]) for j in range(n)]
     pivot_set = set(pivots)
     for i, pc in enumerate(pivots):
         for j in range(pc + 1, n):
@@ -69,24 +69,9 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
 
     # Permute pivot columns onto the leading diagonal; the remaining
     # columns keep their relative order.
-    cols = [cols[c] for c in pivots] + [cols[j] for j in range(n)
-                                        if j not in pivot_set]
+    order = pivots + [j for j in range(n) if j not in pivot_set]
 
     p_mat = Matrix._new(f, tuple(tuple(row[n:]) for row in rows))
-    q_mat = Matrix._new(f, tuple(zip(*cols)))
+    q_mat = Matrix._new(f, tuple(zip(*(f.unpack(cols[j], n)
+                                       for j in order))))
     return RankDecomposition(p_mat, q_mat, r)
-
-
-def decomposition_check(s: Matrix, d: RankDecomposition) -> bool:
-    """True iff d is a valid rank decomposition of s."""
-    if not (s.is_square and d.left.nrows == s.nrows
-            and d.right.nrows == s.nrows):
-        return False
-    try:
-        d.left.inverse()
-        d.right.inverse()
-    except SingularMatrixError:
-        return False
-    if d.rank != s.rank():
-        return False
-    return d.left @ s @ d.right == rank_normal_form(s.field, s.nrows, d.rank)

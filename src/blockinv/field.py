@@ -7,14 +7,30 @@ prime field, or the coefficient bitmask for a binary extension field
 type. A FieldSpec validates its parameters once at construction and then
 performs all arithmetic on codes.
 
-A FieldSpec carries six operations as plain function attributes: the
-scalar `add`, `neg`, `mul` and `inv`, and the two row operations that
-all of the matrix algebra is written in, `scale(xs, a) = a*xs` and
-`axpy(xs, a, ys) = xs + a*ys` on sequences of codes. All six are chosen
-together at construction by one arm per field kind (XOR and AND for
-GF(2), reduction mod p for GF(p), log/exp tables for larger GF(2^k),
-built on the spot), so neither the field nor any caller branches on the
-kind per operation, and no caller reads the tables.
+A FieldSpec carries its operations as plain function attributes: the
+scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
+the matrix algebra is written in. Rows are handled packed: `pack` turns
+a row of codes into the field's packed row, `unpack` turns it back,
+`entry` reads one entry, and `scale(row, a) = a*row` and
+`axpy(row, a, other) = row + a*other` work on packed rows. All of them
+are chosen together at construction by one arm per field kind, so
+neither the field nor any caller branches on the kind per operation,
+and no caller sees a packed form:
+
+    GF(2)      one int per row, bit j for column j; axpy is an XOR.
+    GF(p)      one int per row of 64-bit slots, slot j for column j;
+               axpy is row + a*other, reduced mod p only by `entry`,
+               `scale` and `unpack` (delayed modular reduction).
+    GF(2^k)    a list of codes per row (k >= 2); products use log/exp
+               tables built on the spot, and axpy may skip the leading
+               columns that are zero in `other`.
+
+A GF(p) slot never borrows, because every factor is a canonical code in
+0..p-1, and never carries into the next slot: if every row added is
+canonical (scaled, or fresh from `pack`), each axpy adds less than
+p^2 <= 2^32 to a slot, so a slot that starts canonical stays below 2^64
+for fewer than 2^32 additions. The elimination kernel adds to a row at
+most once per pivot, and a product once per inner index.
 
 The default modulus for GF(2^k) is the irreducible polynomial of degree
 k with the smallest coefficient mask, a fixed table so that independent
@@ -41,12 +57,16 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 
 PRIME = "prime"
 BINARY = "binary"
 
-#: Exclusive upper bound on the prime p; keeps every code in 16 bits.
+#: Exclusive upper bound on the prime p; keeps every code in 16 bits and
+#: every product of two codes below 2^32.
 MAX_PRIME = 1 << 16
+#: A GF(p) packed row holds one entry per 64-bit slot.
+_SLOT_MASK = (1 << 64) - 1
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
 
@@ -96,16 +116,32 @@ def _clip(text: str) -> str:
             else f"{text[:40]}... ({len(text)} characters)")
 
 
+#: Witnesses that make Miller-Rabin exact for every n < 3.1 * 10^23
+#: (Sorenson and Webster, Math. Comp. 86, 2017), so for every 64-bit n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test; exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -153,13 +189,16 @@ class FieldSpec:
 
     Immutable after construction; all operations are pure functions of
     their arguments, so a FieldSpec may be shared freely across threads.
-    The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`,
-    `scale(xs, a)` and `axpy(xs, a, ys)` are its arithmetic, bound once
-    by `_arithmetic`.
+    The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
+    packed-row conversions `pack(codes)`, `unpack(row, n)` and
+    `entry(row, j)`, and the row operations `scale(row, a)` and
+    `axpy(row, a, other, start=0)` are its arithmetic, bound once by
+    `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
-                 "add", "neg", "mul", "inv", "scale", "axpy")
+                 "add", "neg", "mul", "inv", "pack", "unpack", "entry",
+                 "scale", "axpy")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -196,8 +235,8 @@ class FieldSpec:
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
-        (self.add, self.neg, self.mul, self.inv,
-         self.scale, self.axpy) = _arithmetic(self)
+        for name, op in _arithmetic(self).items():
+            setattr(self, name, op)
 
     # ------------------------------------------------------------------
     # identity / notation
@@ -230,12 +269,17 @@ class FieldSpec:
                     f"code {_clip(str(code))} out of range for {self}")
 
 
-def _arithmetic(field: FieldSpec):
-    """The (add, neg, mul, inv, scale, axpy) of `field`, one arm per kind.
+def _arithmetic(field: FieldSpec) -> dict:
+    """The operations of `field` by name, one arm per kind.
 
-    scale(xs, a) is [a*x for x in xs] and axpy(xs, a, ys) is
-    [x + a*y for x, y in zip(xs, ys)]; both return a new list. inv(0)
-    raises ZeroDivisionError.
+    `pack(codes)` turns a row of codes into the arm's packed row and
+    `unpack(row, n)` turns a packed row of n entries back into a list of
+    canonical codes; `entry(row, j)` reads entry j as a canonical code.
+    scale(row, a) is a*row with canonical entries, and
+    axpy(row, a, other, start=0) is row + a*other for a canonical code a,
+    where the entries of `other` before column `start` are zero; both
+    take and return packed rows and never modify their arguments.
+    inv(0) raises ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
 
@@ -243,22 +287,39 @@ def _arithmetic(field: FieldSpec):
         return a
 
     if field.order == 2:
-        # GF(2), spelled gf(2) or gf(2^1): the only nonzero factor is 1,
-        # so a row update is an XOR.
+        # GF(2), spelled gf(2) or gf(2^1): a row is one int with bit j
+        # for column j, and the only nonzero factor is 1, so a row
+        # update is an XOR.
         def inv(a):
             if not a:
                 raise ZeroDivisionError(no_inverse)
             return 1
 
-        def scale(xs, a):
-            return list(xs) if a else [0] * len(xs)
+        def pack(codes):
+            return int("".join(["1" if x else "0" for x in reversed(codes)]),
+                       2)
 
-        def axpy(xs, a, ys):
-            return [x ^ y for x, y in zip(xs, ys)] if a else list(xs)
+        def unpack(row, n):
+            return list(map(int, reversed(f"{row:0{n}b}")))
 
-        return operator.xor, neg_self, operator.and_, inv, scale, axpy
+        def entry(row, j):
+            return row >> j & 1
+
+        def scale(row, a):
+            return row if a else 0
+
+        def axpy(row, a, other, start=0):
+            return row ^ other if a else row
+
+        return dict(add=operator.xor, neg=neg_self, mul=operator.and_,
+                    inv=inv, pack=pack, unpack=unpack, entry=entry,
+                    scale=scale, axpy=axpy)
 
     if field.kind == PRIME:
+        # GF(p): a row is one int of 64-bit slots, slot j for column j,
+        # reduced mod p only when read. axpy adds a*other slot by slot
+        # with no carry between slots, as long as every slot stays below
+        # 2^64 (see the module docstring).
         p = field.characteristic
 
         def add(a, b):
@@ -275,17 +336,31 @@ def _arithmetic(field: FieldSpec):
                 raise ZeroDivisionError(no_inverse)
             return pow(a, p - 2, p)
 
-        def scale(xs, a):
-            return [x * a % p for x in xs]
+        def pack(codes):
+            return int.from_bytes(struct.pack(f"<{len(codes)}Q", *codes),
+                                  "little")
 
-        def axpy(xs, a, ys):
-            return [(x + a * y) % p for x, y in zip(xs, ys)]
+        def unpack(row, n):
+            return [x % p for x in
+                    struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))]
 
-        return add, neg, mul, inv, scale, axpy
+        def entry(row, j):
+            return (row >> (j << 6) & _SLOT_MASK) % p
 
-    # GF(2^k), k >= 2: discrete log/antilog tables w.r.t. the smallest
-    # generator. The exp table is doubled so exp[log[a] + log[b]] never
-    # needs a modular reduction.
+        def scale(row, a):
+            return pack([x * a % p for x in
+                         unpack(row, (row.bit_length() + 63) >> 6)])
+
+        def axpy(row, a, other, start=0):
+            return row + a * other
+
+        return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
+                    unpack=unpack, entry=entry, scale=scale, axpy=axpy)
+
+    # GF(2^k), k >= 2: a row is a list of codes, and products go through
+    # discrete log/antilog tables w.r.t. the smallest generator. The exp
+    # table is doubled so exp[log[a] + log[b]] never needs a modular
+    # reduction.
     q, m = field.order, field.modulus
     g = _find_generator(q, m)
     exp = [1] * (2 * (q - 1))
@@ -304,19 +379,26 @@ def _arithmetic(field: FieldSpec):
             raise ZeroDivisionError(no_inverse)
         return exp[q - 1 - log[a]]
 
-    def scale(xs, a):
-        if not a:
-            return [0] * len(xs)
-        la = log[a]
-        return [exp[la + log[x]] if x else 0 for x in xs]
+    def unpack(row, n):
+        return row
 
-    def axpy(xs, a, ys):
+    def scale(row, a):
         if not a:
-            return list(xs)
+            return [0] * len(row)
         la = log[a]
-        return [x ^ exp[la + log[y]] if y else x for x, y in zip(xs, ys)]
+        return [exp[la + log[x]] if x else 0 for x in row]
 
-    return operator.xor, neg_self, mul, inv, scale, axpy
+    def axpy(row, a, other, start=0):
+        if start:
+            return row[:start] + axpy(row[start:], a, other[start:])
+        if not a:
+            return row
+        la = log[a]
+        return [x ^ exp[la + log[y]] if y else x for x, y in zip(row, other)]
+
+    return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=list,
+                unpack=unpack, entry=operator.getitem, scale=scale,
+                axpy=axpy)
 
 
 def _find_generator(q: int, m: int) -> int:

@@ -1,27 +1,33 @@
 """Dense exact matrix algebra over a FieldSpec.
 
 Matrices are immutable values: every operation returns a fresh Matrix and
-any matrix can be read concurrently. Entries are stored row-major as int
-codes of the attached field. Sizes here are desk scale (a few hundred at
-most), so copying is cheap and no sparse or bit-packed formats are used.
+any matrix can be read concurrently. Entries are stored row-major as
+tuples of int codes of the attached field, so blocks, files and hashes
+see plain codes.
 
-All arithmetic on rows goes through the field's two row operations,
-`scale(xs, a) = a*xs` and `axpy(xs, a, ys) = xs + a*ys` (see field.py),
-so this module never branches on the field kind: addition is one axpy
-per row, a product accumulates one axpy per nonzero left entry, and the
-Kronecker product scales rows. Rank, inversion and the rank
-decomposition all run through one Gauss-Jordan kernel (`_row_reduce`),
-one pivot loop that normalises with scale and eliminates with axpy;
-inversion and the rank decomposition reduce [A | I] and read the left
-transform off the right half. Pivoting picks the first nonzero entry
-scanning down each column, columns left to right; exact arithmetic needs
-no magnitude-based pivot strategy, and the fixed scan order makes every
+Arithmetic on rows runs on the field's packed rows: an operation packs
+its operand rows with `pack`, works on them with `scale(row, a) = a*row`
+and `axpy(row, a, other) = row + a*other`, reads entries with `entry`
+and unpacks its result with `unpack` (see field.py for each field's
+packed form). This module never branches on the field kind: addition is
+one axpy per row, a product accumulates one axpy per nonzero left entry
+and unpacks once per output row, and the Kronecker product scales rows.
+
+Elimination is one forward pass, `_echelon`: it normalises each pivot
+row with scale and eliminates with axpy below the pivot only. `rank()`
+runs that pass alone. Inversion and the rank decomposition reduce
+[A | I] with `_row_reduce`, which adds a back-substitution pass clearing
+above each pivot, and read the left transform off the right half; the
+reduced row-echelon form is unique, so this gives the same integers as a
+Gauss-Jordan sweep. Pivoting picks the first nonzero entry scanning down
+each column, columns left to right; exact arithmetic needs no
+magnitude-based pivot strategy, and the fixed scan order makes every
 result bit-reproducible.
 """
 
 from __future__ import annotations
 
-from .field import FieldSpec
+from .field import FieldSpec, _clip
 
 
 class FieldMismatchError(ValueError):
@@ -32,43 +38,66 @@ class SingularMatrixError(ValueError):
     """Square matrix has no inverse."""
 
 
-def _row_reduce(rows: list[list[int]], field: FieldSpec,
-                width: int | None = None) -> list[int]:
-    """Reduce `rows` to reduced row-echelon form in place.
+def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
+    """Bring packed `rows` to row-echelon form in place (forward pass).
 
-    Pivots are sought in the first `width` columns (default: all) and
-    each swap, scale and axpy applies to the whole row, so reducing
-    [A | I] with width = ncols(A) leaves the left transform in the right
-    half. Entries left of a pivot column are already zero in the pivot
-    row, so updates start at the pivot column.
+    Pivots are sought in the first `width` columns. Each pivot row is
+    scaled so that its pivot is 1, which also leaves it in canonical
+    codes, and is then eliminated from the rows below it only. Entries
+    left of a pivot column are already zero in the pivot row, so updates
+    start at the pivot column.
 
     Returns the pivot columns; their count is the rank of that part.
     """
-    scale, axpy, inv, neg = field.scale, field.axpy, field.inv, field.neg
+    scale, axpy, inv, neg, entry = (field.scale, field.axpy, field.inv,
+                                    field.neg, field.entry)
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(len(rows[0]) if width is None else width):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), -1)
+    for c in range(width):
+        piv = next((i for i in range(r, nrows) if entry(rows[i], c)), -1)
         if piv < 0:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        v = prow[c]
-        if v != 1:
-            prow[c:] = scale(prow[c:], inv(v))
-        ptail = prow[c:]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                row = rows[i]
-                row[c:] = axpy(row[c:], neg(f), ptail)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r] = scale(rows[r], inv(entry(rows[r], c)))
+        for i in range(r + 1, nrows):
+            f = entry(rows[i], c)
+            if f:
+                rows[i] = axpy(rows[i], neg(f), prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
+    """Bring packed `rows` to reduced row-echelon form in place.
+
+    The forward pass `_echelon`, then back-substitution: from the last
+    pivot up, each pivot row (brought to canonical codes first) clears
+    its column in the rows above. Reducing [A | I] with width = ncols(A)
+    leaves the left transform in the right half.
+
+    Returns the pivot columns, as `_echelon` does.
+    """
+    scale, axpy, neg, entry = field.scale, field.axpy, field.neg, field.entry
+    pivots = _echelon(rows, field, width)
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        prow = rows[k] = scale(rows[k], 1)
+        for i in range(k):
+            f = entry(rows[i], c)
+            if f:
+                rows[i] = axpy(rows[i], neg(f), prow, c)
+    return pivots
+
+
+def _augmented(m: "Matrix") -> list:
+    """The packed rows of [M | I]."""
+    pack, n = m.field.pack, m.nrows
+    return [pack(row + tuple(1 if i == j else 0 for j in range(n)))
+            for i, row in enumerate(m._rows)]
 
 
 class Matrix:
@@ -158,10 +187,10 @@ class Matrix:
             raise ValueError(
                 f"cannot add {self.nrows}x{self.ncols} and "
                 f"{other.nrows}x{other.ncols}")
-        axpy = self.field.axpy
-        rows = tuple(tuple(axpy(ra, 1, rb))
+        f, n = self.field, self.ncols
+        rows = tuple(tuple(f.unpack(f.axpy(f.pack(ra), 1, f.pack(rb)), n))
                      for ra, rb in zip(self._rows, other._rows))
-        return Matrix._new(self.field, rows)
+        return Matrix._new(f, rows)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -171,32 +200,34 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        axpy = self.field.axpy
-        zero = [0] * other.ncols
+        f, n = self.field, other.ncols
+        axpy, unpack = f.axpy, f.unpack
+        brows = [f.pack(row) for row in other._rows]
+        zero = f.pack((0,) * n)
         out = []
         for arow in self._rows:
             acc = zero
-            for a, brow in zip(arow, other._rows):
+            for a, brow in zip(arow, brows):
                 if a:
                     acc = axpy(acc, a, brow)
-            out.append(tuple(acc))
-        return Matrix._new(self.field, tuple(out))
+            out.append(tuple(unpack(acc, n)))
+        return Matrix._new(f, tuple(out))
 
     def rank(self) -> int:
-        rows = [list(r) for r in self._rows]
-        return len(_row_reduce(rows, self.field))
+        rows = [self.field.pack(row) for row in self._rows]
+        return len(_echelon(rows, self.field, self.ncols))
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan inverse; raises SingularMatrixError if none exists."""
         if not self.is_square:
             raise ValueError(f"cannot invert {self.nrows}x{self.ncols} matrix")
-        n = self.nrows
-        rows = [list(r) + [1 if i == j else 0 for j in range(n)]
-                for i, r in enumerate(self._rows)]  # [A | I]
+        n, unpack = self.nrows, self.field.unpack
+        rows = _augmented(self)
         if len(_row_reduce(rows, self.field, n)) != n:
             raise SingularMatrixError(
                 f"{n}x{n} matrix over {self.field} is singular")
-        return Matrix._new(self.field, tuple(tuple(r[n:]) for r in rows))
+        return Matrix._new(self.field, tuple(tuple(unpack(r, 2 * n)[n:])
+                                             for r in rows))
 
     def is_invertible(self) -> bool:
         return self.is_square and self.rank() == self.nrows
@@ -207,19 +238,21 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product: block (i, j) of the result is self[i,j] * other."""
         self._require_same_field(other)
-        scale = self.field.scale
+        f, n = self.field, other.ncols
+        brows = [f.pack(row) for row in other._rows]
         out = []
         for arow in self._rows:
-            for brow in other._rows:
-                out.append(tuple(x for a in arow for x in scale(brow, a)))
-        return Matrix._new(self.field, tuple(out))
+            for brow in brows:
+                out.append(tuple(x for a in arow
+                                 for x in f.unpack(f.scale(brow, a), n)))
+        return Matrix._new(f, tuple(out))
 
     def _check_block_size(self, p: int):
         if p < 1:
             raise ValueError("block size must be positive")
         if self.nrows % p or self.ncols % p:
-            raise ValueError(
-                f"block size {p} does not divide {self.nrows}x{self.ncols}")
+            raise ValueError(f"block size {_clip(str(p))} does not divide "
+                             f"{self.nrows}x{self.ncols}")
 
     def block(self, p: int, i: int, j: int) -> "Matrix":
         """The p x p block in block-row i, block-column j (0-based)."""

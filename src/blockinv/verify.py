@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .field import _clip
 from .matrix import Matrix
 
 
@@ -37,11 +36,7 @@ class BlockReport:
 
 def verify_blocks(m: Matrix, p: int) -> BlockReport:
     """Check every p x p block of m, and m itself when square."""
-    if p < 1:
-        raise ValueError("block size must be positive")
-    if m.nrows % p or m.ncols % p:
-        raise ValueError(f"block size {_clip(str(p))} must divide "
-                         f"dimensions {m.nrows}x{m.ncols}")
+    m._check_block_size(p)
 
     verdicts = []
     failing = []

@@ -14,13 +14,14 @@ from blockinv import cli
 from blockinv.construct import (GeneratorConfig, generate, gl_count,
                                 kronecker_generate, perturbation_matrix,
                                 random_invertible)
-from blockinv.decompose import (decomposition_check, rank_decompose,
-                                rank_normal_form)
+from blockinv.decompose import rank_decompose, rank_normal_form
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix
 from blockinv.matrixfile import JSON, TEXT, dump, load
 from blockinv.rng import SplitMix64
 from blockinv.verify import verify_blocks
+
+from oracles import decomposition_check
 
 FIELDS = [prime_field(2), prime_field(3), prime_field(5), prime_field(257),
           binary_field(4), binary_field(8)]

@@ -207,7 +207,7 @@ DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
     (f"bim v1\ngf(2)\n1 {DIGITS} 1\n1\n", "entries per row"),
     (f"bim v1\ngf(2)\n-{DIGITS} 1 1\n1\n", "dimensions"),
     (f"bim v1\ngf(2)\n1 1 -{DIGITS}\n1\n", "block size"),
-    (f"bim v1\ngf(2)\n1 1 {DIGITS}\n1\n", "must divide"),
+    (f"bim v1\ngf(2)\n1 1 {DIGITS}\n1\n", "does not divide"),
     (_bim_json(rows=int(DIGITS)), "list of"),
     (f"bim v1\ngf(2)\n1 1 1\n{HUGE}\n", "over-long entry in row '99"),
     (f"bim v1\ngf(2)\n1 1 1\n{DIGITS}\n", "out of range"),
@@ -300,6 +300,21 @@ def test_count_too_large_to_print_exit_2(capsys, p, q):
     assert err.count("\n") == 1 and "digits" in err
 
 
+def test_count_large_prime_order(capsys):
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--p", "1", "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[0] == f"|GL(1, {q})| = {q - 1}"
+
+
+def test_count_order_past_64_bits_exit_2(capsys):
+    code, out, err = run(capsys, "count", "--p", "1", "--q", str(2 ** 64))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "2^64" in err
+
+
 def test_count_bad_order_exit_2(capsys):
     assert run(capsys, "count", "--p", "2", "--q", "6")[0] == 2
     assert run(capsys, "count", "--p", "2", "--q", "1")[0] == 2
@@ -389,3 +404,45 @@ def test_entry_raises_system_exit(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 0
+
+
+# every int or choice option of every subcommand, with the other
+# arguments valid
+OPTION_CASES = [
+    ("generate", "--n", "--n 4 --p 2 --field gf(2)"),
+    ("generate", "--p", "--n 4 --p 2 --field gf(2)"),
+    ("generate", "--seed", "--n 4 --p 2 --field gf(2)"),
+    ("generate", "--strip", "--n 4 --p 2 --field gf(2)"),
+    ("generate", "--format", "--n 4 --p 2 --field gf(2)"),
+    ("verify", "--p", "m.bim"),
+    ("count", "--p", "--p 1 --q 2"),
+    ("count", "--q", "--p 1 --q 2"),
+    ("kron", "--p", "--p 2 --field gf(3)"),
+    ("kron", "--seed", "--p 2 --field gf(3)"),
+    ("kron", "--max-trials", "--p 2 --field gf(3)"),
+    ("kron", "--format", "--p 2 --field gf(3)"),
+]
+
+
+@pytest.mark.parametrize("command, option, rest", OPTION_CASES,
+                         ids=[f"{c}{o}" for c, o, _ in OPTION_CASES])
+@pytest.mark.parametrize("value", ["x" * 3000, "-" + "9" * 3000],
+                         ids=["junk", "long-negative"])
+def test_option_values_quoted_bounded(tmp_path, capsys, command, option,
+                                     rest, value):
+    (tmp_path / "m.bim").write_text(
+        dump_text(Matrix.identity(prime_field(2), 4), 2))
+    code, out, err = run(capsys, command,
+                         *rest.replace("m.bim", str(tmp_path / "m.bim")).split(),
+                         option, value)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()[-1].encode()) < 300
+
+
+@pytest.mark.parametrize("n, p", [("9" * 3000, "2"), ("4", "9" * 3000)],
+                         ids=["long-n", "long-p"])
+def test_generate_config_error_quoted_bounded(capsys, n, p):
+    code, out, err = run(capsys, "generate", "--n", n, "--p", p,
+                         "--field", "gf(2)")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 300

@@ -360,6 +360,42 @@ def test_gl_count_validation():
     with pytest.raises(ValueError):
         gl_count(0, 2)
     assert gl_count(2, 8) == (64 - 1) * (64 - 8)  # prime power accepted
+    with pytest.raises(ValueError, match="below 2"):
+        gl_count(1, 1 << 64)
+
+
+def _trial_division_prime_power(q):
+    """Reference: strip the smallest factor, as trial division finds it."""
+    if q < 2:
+        return False
+    c = 2
+    while c * c <= q:
+        if q % c == 0:
+            while q % c == 0:
+                q //= c
+            return q == 1
+        c += 1
+    return True
+
+
+def test_prime_power_agrees_with_trial_division():
+    for q in range(-2, 10 ** 5):
+        assert construct._is_prime_power(q) == _trial_division_prime_power(q), q
+
+
+@pytest.mark.parametrize("q, expected", [
+    (2 ** 61 - 1, True),
+    (3 ** 40, True),
+    (2 ** 63, True),
+    ((2 ** 31 - 1) ** 2, True),
+    (2 ** 64 - 59, True),  # the largest prime below 2^64
+    (561, False),  # Carmichael number 3 * 11 * 17
+    (2 ** 64 - 1, False),
+    ((2 ** 31 - 1) * (2 ** 31 + 11), False),
+    (3 ** 39 * 2, False),
+])
+def test_prime_power_past_trial_division_reach(q, expected):
+    assert construct._is_prime_power(q) is expected
 
 
 # ----------------------------------------------------------------------

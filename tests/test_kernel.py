@@ -7,8 +7,10 @@ import pytest
 
 from blockinv.decompose import rank_decompose
 from blockinv.field import binary_field, prime_field
-from blockinv.matrix import Matrix, SingularMatrixError
+from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
+
+from oracles import decomposition_check, scalar_matmul, scalar_rref
 
 KERNEL_FIELDS = (prime_field(2), prime_field(3), prime_field(65521),
                  binary_field(8), binary_field(8, 0x11D), binary_field(16))
@@ -61,10 +63,14 @@ def test_kernel_digest_is_pinned():
 
 
 def _check_row_ops(field, coeffs, xs, ys):
+    pack, unpack, n = field.pack, field.unpack, len(xs)
+    px, py = pack(xs), pack(ys)
+    assert unpack(px, n) == xs and unpack(py, n) == ys
+    assert [field.entry(px, j) for j in range(n)] == xs
     for a in coeffs:
-        assert field.scale(xs, a) == [field.mul(a, x) for x in xs]
-        assert field.axpy(xs, a, ys) == [field.add(x, field.mul(a, y))
-                                         for x, y in zip(xs, ys)]
+        assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
+        assert unpack(field.axpy(px, a, py), n) == [
+            field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("field", [prime_field(2), prime_field(5),
@@ -85,3 +91,90 @@ def test_row_ops_match_scalar_ops_on_samples(field):
     ys = [rng.below(q) for _ in range(4000)] + [0, q - 1, 0, 1]
     coeffs = [0, 1, q - 1] + [rng.below(q) for _ in range(40)]
     _check_row_ops(field, coeffs, xs, ys)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_reduced_rows_match_scalar_gauss_jordan(field):
+    # the whole reduced form, pivot columns included: outputs read only
+    # the right half or the rank, so they would not show a stale pivot
+    # column
+    rng = SplitMix64(0x4EF)
+    for nrows, ncols, zero_share in [(12, 15, 0), (12, 15, 3), (15, 12, 2),
+                                     (30, 30, 1)]:
+        codes = [[0 if rng.below(4) < zero_share else rng.below(field.order)
+                  for _ in range(ncols)] for _ in range(nrows)]
+        rref, pivots = scalar_rref(codes, field)
+        rows = [field.pack(row) for row in codes]
+        assert _echelon(list(rows), field, ncols) == pivots
+        assert _row_reduce(rows, field, ncols) == pivots
+        assert [field.unpack(row, ncols) for row in rows] == rref
+
+
+def _square(field, n, fill, rng):
+    """An invertible uniform n x n matrix, or the all-(q-1) matrix."""
+    top = field.order - 1
+    if fill == "top":
+        return Matrix(field, [[top] * n] * n)
+    while True:
+        m = Matrix(field, [[rng.below(field.order) for _ in range(n)]
+                           for _ in range(n)])
+        if m.rank() == n:
+            return m
+
+
+# GF(2) rows that end just before, at and just past a 64-bit word, and
+# GF(65521) rows of 260 64-bit slots
+@pytest.mark.parametrize("field, n", [(prime_field(2), 63),
+                                      (prime_field(2), 64),
+                                      (prime_field(2), 65),
+                                      (prime_field(2), 130),
+                                      (prime_field(65521), 260)],
+                         ids=lambda v: str(v))
+@pytest.mark.parametrize("fill", ["random", "top"])
+def test_kernel_past_one_machine_word(field, n, fill):
+    m = _square(field, n, fill, SplitMix64(n))
+    codes = m.to_lists()
+    rref, pivots = scalar_rref(codes, field)
+    assert m.rank() == len(pivots) == (n if fill == "random" else 1)
+
+    rows = [field.pack(row) for row in codes]
+    assert _echelon(list(rows), field, n) == pivots
+    assert _row_reduce(rows, field, n) == pivots
+    assert [field.unpack(row, n) for row in rows] == rref
+
+    if fill == "random":
+        assert m @ m.inverse() == Matrix.identity(field, n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    assert decomposition_check(m, rank_decompose(m))
+
+    assert (m + m).to_lists() == [[field.add(x, x) for x in row]
+                                  for row in codes]
+    a = Matrix(field, [[1, field.order - 1, 0]])
+    assert a.kron(m).to_lists() == [
+        [field.mul(x, y) for x in a.to_lists()[0] for y in row]
+        for row in codes]
+
+
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(3),
+                                   prime_field(65521), binary_field(8),
+                                   binary_field(16)], ids=str)
+def test_product_matches_scalar_triple_loop(field):
+    rng = SplitMix64(0x9E3)
+    for r, k, c in [(1, 1, 1), (3, 70, 5), (40, 40, 40), (17, 65, 130)]:
+        a = Matrix(field, [[rng.below(field.order) for _ in range(k)]
+                           for _ in range(r)])
+        b = Matrix(field, [[rng.below(field.order) for _ in range(c)]
+                           for _ in range(k)])
+        assert (a @ b).to_lists() == scalar_matmul(a, b)
+
+
+def test_product_of_top_codes_fills_every_slot():
+    # 300 products (p-1)^2 per entry: the heaviest load a 300-term GF(p)
+    # sum can put on one slot. Every row of the left factor is the same,
+    # so every row of the product must equal the triple-loop row 0.
+    field = prime_field(65521)
+    m = Matrix(field, [[field.order - 1] * 300] * 300)
+    (row0,) = scalar_matmul(m, m, rows=[0])
+    assert (m @ m).to_lists() == [row0] * 300
