@@ -139,6 +139,10 @@ def cmd_count(args) -> int:
     return 0
 
 
+#: Largest `kron --p`: the product is p^2 x p^2, 1024 x 1024 at the bound.
+KRON_MAX_P = 32
+
+
 def cmd_kron(args) -> int:
     try:
         fld = parse_field(args.field)
@@ -147,6 +151,9 @@ def cmd_kron(args) -> int:
         return 2
     if args.p < 2:
         _err("p must be at least 2")
+        return 2
+    if args.p > KRON_MAX_P:
+        _err(f"p {_clip(str(args.p))} is above the limit {KRON_MAX_P}")
         return 2
     rng = SplitMix64(args.seed)
     res = kronecker_generate(args.p, fld, rng, max_trials=args.max_trials)
@@ -214,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kron",
                        help="Kronecker-product construction attempt")
-    k.add_argument("--p", type=_int, required=True)
+    k.add_argument("--p", type=_int, required=True,
+                   help=f"block size, 2..{KRON_MAX_P}")
     k.add_argument("--field", required=True)
     k.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     k.add_argument("--max-trials", type=_trials, default=1000,

@@ -316,7 +316,9 @@ def kronecker_generate(p: int, field: FieldSpec, rng: SplitMix64,
         raise ValueError("block size p must be at least 2")
     q = field.order
     a = None
-    exhaustive = q ** (p * p) <= EXHAUSTIVE_LIMIT
+    # q >= 2, so p*p > 20 already puts q^(p*p) past the limit, and the
+    # power is never formed for a large p
+    exhaustive = p * p <= 20 and q ** (p * p) <= EXHAUSTIVE_LIMIT
     trials = 0
     if exhaustive:
         for m in _all_nonzero_matrices(p, field):

@@ -21,9 +21,12 @@ and no caller sees a packed form:
     GF(p)      one int per row of 64-bit slots, slot j for column j;
                axpy is row + a*other, reduced mod p only by `entry`,
                `scale` and `unpack` (delayed modular reduction).
-    GF(2^k)    a list of codes per row (k >= 2); products use log/exp
-               tables built on the spot, and axpy may skip the leading
-               columns that are zero in `other`.
+    GF(2^k)    one int per row of w-bit slots, slot j for column j, for
+               k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
+               the smallest struct width that holds 2k-1 bits. axpy XORs
+               in the carry-less product a*other, one shifted copy of
+               `other` per set bit of a, and leaves each slot unreduced;
+               `entry`, `scale` and `unpack` reduce it mod the modulus.
 
 A GF(p) slot never borrows, because every factor is a canonical code in
 0..p-1, and never carries into the next slot: if every row added is
@@ -31,6 +34,17 @@ canonical (scaled, or fresh from `pack`), each axpy adds less than
 p^2 <= 2^32 to a slot, so a slot that starts canonical stays below 2^64
 for fewer than 2^32 additions. The elimination kernel adds to a row at
 most once per pivot, and a product once per inner index.
+
+A GF(2^k) slot cannot overflow at all. With `other` canonical, its
+slots are below 2^k and are shifted by at most k-1, so each copy stays
+below 2^(2k-1) inside its own slot; XOR has no carry, so any number of
+updates keeps every slot below 2^(2k-1) <= 2^w. Reduction uses
+x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
+hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
+repeating it leaves the canonical code. `unpack`, and `scale` on a
+long row, do this for every slot at once with masks repeated in each
+slot; `entry` reads one slot and takes lo XOR hi*r through the log/exp
+tables in one step.
 
 The default modulus for GF(2^k) is the irreducible polynomial of degree
 k with the smallest coefficient mask, a fixed table so that independent
@@ -67,6 +81,8 @@ BINARY = "binary"
 MAX_PRIME = 1 << 16
 #: A GF(p) packed row holds one entry per 64-bit slot.
 _SLOT_MASK = (1 << 64) - 1
+#: A GF(2^k) row of at most this many slots is scaled entry by entry.
+_SHORT_ROW = 8
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
 
@@ -192,7 +208,7 @@ class FieldSpec:
     The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
     packed-row conversions `pack(codes)`, `unpack(row, n)` and
     `entry(row, j)`, and the row operations `scale(row, a)` and
-    `axpy(row, a, other, start=0)` are its arithmetic, bound once by
+    `axpy(row, a, other)` are its arithmetic, bound once by
     `_arithmetic`.
     """
 
@@ -260,6 +276,9 @@ class FieldSpec:
 
     def validate_codes(self, codes) -> None:
         """Raise ValueError unless every code is a canonical element here."""
+        if (set(map(type, codes)) == {int} and 0 <= min(codes)
+                and max(codes) < self.order):
+            return
         for code in codes:
             if not isinstance(code, int) or isinstance(code, bool):
                 raise ValueError(
@@ -276,10 +295,12 @@ def _arithmetic(field: FieldSpec) -> dict:
     `unpack(row, n)` turns a packed row of n entries back into a list of
     canonical codes; `entry(row, j)` reads entry j as a canonical code.
     scale(row, a) is a*row with canonical entries, and
-    axpy(row, a, other, start=0) is row + a*other for a canonical code a,
-    where the entries of `other` before column `start` are zero; both
-    take and return packed rows and never modify their arguments.
-    inv(0) raises ZeroDivisionError.
+    axpy(row, a, other) is row + a*other for a canonical code a and a
+    canonical row `other` (scaled, or fresh from `pack`); both take and
+    return packed rows and never modify their arguments. Over GF(p) and
+    GF(2^k) the row axpy returns may hold unreduced slots, which only
+    `entry`, `scale` and `unpack` read (see the module docstring for
+    why no slot overflows). inv(0) raises ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
 
@@ -308,7 +329,7 @@ def _arithmetic(field: FieldSpec) -> dict:
         def scale(row, a):
             return row if a else 0
 
-        def axpy(row, a, other, start=0):
+        def axpy(row, a, other):
             return row ^ other if a else row
 
         return dict(add=operator.xor, neg=neg_self, mul=operator.and_,
@@ -351,17 +372,16 @@ def _arithmetic(field: FieldSpec) -> dict:
             return pack([x * a % p for x in
                          unpack(row, (row.bit_length() + 63) >> 6)])
 
-        def axpy(row, a, other, start=0):
+        def axpy(row, a, other):
             return row + a * other
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
                     unpack=unpack, entry=entry, scale=scale, axpy=axpy)
 
-    # GF(2^k), k >= 2: a row is a list of codes, and products go through
-    # discrete log/antilog tables w.r.t. the smallest generator. The exp
-    # table is doubled so exp[log[a] + log[b]] never needs a modular
-    # reduction.
-    q, m = field.order, field.modulus
+    # GF(2^k), k >= 2: scalar products go through discrete log/antilog
+    # tables w.r.t. the smallest generator. The exp table is doubled so
+    # exp[log[a] + log[b]] never needs a modular reduction.
+    k, q, m = field.degree, field.order, field.modulus
     g = _find_generator(q, m)
     exp = [1] * (2 * (q - 1))
     log = [0] * q
@@ -379,26 +399,69 @@ def _arithmetic(field: FieldSpec) -> dict:
             raise ZeroDivisionError(no_inverse)
         return exp[q - 1 - log[a]]
 
+    # A row is one int of w-bit slots, slot j for column j, each holding
+    # a polynomial of degree below 2k - 1 that is reduced mod m only when
+    # read, by x^k = r (see the module docstring). `reduce` folds every
+    # slot at once: lo keeps bits 0..k-1 of each slot, top the rest.
+    w, code = (8, "B") if k <= 4 else (16, "H") if k <= 8 else (32, "I")
+    nbytes, slot, low = w // 8, (1 << w) - 1, q - 1
+    r = m ^ q
+    r_bits = [i for i in range(k) if r >> i & 1]
+    log_r = log[r]
+
+    def reduce(row):
+        full = (1 << (w * -(-row.bit_length() // w))) - 1
+        lo = full // slot * low
+        top = full ^ lo
+        hi = row & top
+        while hi:
+            row &= lo
+            hi >>= k
+            for i in r_bits:
+                row ^= hi << i
+            hi = row & top
+        return row
+
+    def pack(codes):
+        row = 0
+        for x in reversed(codes):
+            row = row << w | x
+        return row
+
     def unpack(row, n):
+        return list(struct.unpack(f"<{n}{code}",
+                                  reduce(row).to_bytes(nbytes * n, "little")))
+
+    def entry(row, j):
+        x = row >> (j * w) & slot
+        return x if x < q else x & low ^ exp[log[x >> k] + log_r]
+
+    def axpy(row, a, other):
+        while a:
+            bit = a & -a
+            row ^= other << (bit.bit_length() - 1)
+            a ^= bit
         return row
 
     def scale(row, a):
+        # A long row is reduced, multiplied and reduced again across all
+        # slots at once; a short one costs less slot by slot, each reduced
+        # as in `entry` and multiplied through the tables.
+        n = -(-row.bit_length() // w)
+        if n > _SHORT_ROW:
+            return reduce(axpy(0, a, reduce(row)))
         if not a:
-            return [0] * len(row)
-        la = log[a]
-        return [exp[la + log[x]] if x else 0 for x in row]
+            return 0
+        la, out = log[a], 0
+        for j in range(n - 1, -1, -1):
+            x = row >> (j * w) & slot
+            if x >= q:
+                x = x & low ^ exp[log[x >> k] + log_r]
+            out = out << w | (exp[la + log[x]] if x else 0)
+        return out
 
-    def axpy(row, a, other, start=0):
-        if start:
-            return row[:start] + axpy(row[start:], a, other[start:])
-        if not a:
-            return row
-        la = log[a]
-        return [x ^ exp[la + log[y]] if y else x for x, y in zip(row, other)]
-
-    return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=list,
-                unpack=unpack, entry=operator.getitem, scale=scale,
-                axpy=axpy)
+    return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=pack,
+                unpack=unpack, entry=entry, scale=scale, axpy=axpy)
 
 
 def _find_generator(q: int, m: int) -> int:

@@ -44,8 +44,8 @@ def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
     Pivots are sought in the first `width` columns. Each pivot row is
     scaled so that its pivot is 1, which also leaves it in canonical
     codes, and is then eliminated from the rows below it only. Entries
-    left of a pivot column are already zero in the pivot row, so updates
-    start at the pivot column.
+    left of a pivot column are already zero in the pivot row, so an
+    update leaves those columns as they are.
 
     Returns the pivot columns; their count is the rank of that part.
     """
@@ -63,7 +63,7 @@ def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
         for i in range(r + 1, nrows):
             f = entry(rows[i], c)
             if f:
-                rows[i] = axpy(rows[i], neg(f), prow, c)
+                rows[i] = axpy(rows[i], neg(f), prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -89,7 +89,7 @@ def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
         for i in range(k):
             f = entry(rows[i], c)
             if f:
-                rows[i] = axpy(rows[i], neg(f), prow, c)
+                rows[i] = axpy(rows[i], neg(f), prow)
     return pivots
 
 

@@ -100,7 +100,7 @@ def _ints(line: str, what: str) -> list[int]:
     """The whitespace-separated decimal ints on one line of a text file."""
     tokens = line.split()
     try:
-        return [int(tok) for tok in tokens]
+        return list(map(int, tokens))
     except ValueError:  # digits that int() refuses are over its length limit
         bad = ("over-long" if all((t[1:] if t[0] in "+-" else t).isdecimal()
                                   for t in tokens) else "non-integer")

@@ -371,6 +371,27 @@ def test_kron_validation_exit_2(capsys):
                        "--max-trials", trials)[0] == 2
 
 
+@pytest.mark.parametrize("p", [str(cli.KRON_MAX_P + 1), "9" * 3000])
+def test_kron_p_above_limit_exit_2(capsys, p):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kron", "--p", p, "--field", "gf(2)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert f"limit {cli.KRON_MAX_P}" in err
+
+
+def test_kron_exhaustive_choice_needs_no_large_power():
+    # p * p > 20 rules the exhaustive search out before q^(p*p), here a
+    # 64-million-bit int, is formed; a zero trial cap makes the random
+    # search return at once
+    start = time.perf_counter()
+    res = kronecker_generate(2000, prime_field(65521), SplitMix64(1),
+                             max_trials=0)
+    assert time.perf_counter() - start < 1.0
+    assert not res.exhaustive and res.trials == 0
+
+
 # sha256 of `kron` stdout and the exhaustive search's trial count, at the
 # default seed; the candidates are enumerated in row-major code order
 @pytest.mark.parametrize("p, field, digest, trials", [

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from blockinv.decompose import rank_decompose
-from blockinv.field import binary_field, prime_field
+from blockinv.field import _is_irreducible, binary_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
@@ -14,6 +14,12 @@ from oracles import decomposition_check, scalar_matmul, scalar_rref
 
 KERNEL_FIELDS = (prime_field(2), prime_field(3), prime_field(65521),
                  binary_field(8), binary_field(8, 0x11D), binary_field(16))
+
+#: The first GF(2^16) modulus x^16 + x^15 + ... : r = m XOR x^16 has degree
+#: 15, so each reduction round lowers a slot's high part by one degree
+#: only, and a packed row takes the most rounds to read.
+SLOW_REDUCTION = binary_field(16, next(m for m in range(0x18001, 0x20000, 2)
+                                       if _is_irreducible(m, 16)))
 
 #: sha256 of `_kernel_records()`. Results must stay byte-identical across
 #: refactors of the kernel, so any change in pivot order or arithmetic
@@ -63,18 +69,29 @@ def test_kernel_digest_is_pinned():
 
 
 def _check_row_ops(field, coeffs, xs, ys):
+    """Row operations against scalar ones, on packed rows and on the rows
+    axpy returns, which a packed form may leave unreduced; then the same
+    on short rows cut from xs and ys."""
     pack, unpack, n = field.pack, field.unpack, len(xs)
     px, py = pack(xs), pack(ys)
     assert unpack(px, n) == xs and unpack(py, n) == ys
     assert [field.entry(px, j) for j in range(n)] == xs
     for a in coeffs:
         assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
-        assert unpack(field.axpy(px, a, py), n) == [
-            field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
+        row = field.axpy(px, a, py)
+        sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
+        assert unpack(row, n) == sums
+        assert [field.entry(row, j) for j in range(n)] == sums
+        assert unpack(field.scale(row, a), n) == [field.mul(a, x)
+                                                  for x in sums]
+    if n > 7:
+        for i in range(0, n, 7):
+            _check_row_ops(field, coeffs, xs[i:i + 7], ys[i:i + 7])
 
 
 @pytest.mark.parametrize("field", [prime_field(2), prime_field(5),
-                                   binary_field(4)], ids=str)
+                                   binary_field(4), binary_field(2),
+                                   binary_field(5)], ids=str)
 def test_row_ops_match_scalar_ops_exhaustively(field):
     elems = list(range(field.order))
     xs = [x for x in elems for _ in elems]
@@ -82,8 +99,8 @@ def test_row_ops_match_scalar_ops_exhaustively(field):
     _check_row_ops(field, elems, xs, ys)
 
 
-@pytest.mark.parametrize("field", [prime_field(65521), binary_field(16)],
-                         ids=str)
+@pytest.mark.parametrize("field", [prime_field(65521), binary_field(16),
+                                   SLOW_REDUCTION], ids=str)
 def test_row_ops_match_scalar_ops_on_samples(field):
     rng = SplitMix64(0x5CA1E)
     q = field.order
@@ -122,13 +139,23 @@ def _square(field, n, fill, rng):
             return m
 
 
-# GF(2) rows that end just before, at and just past a 64-bit word, and
-# GF(65521) rows of 260 64-bit slots
+# GF(2) rows that end just before, at and just past a 64-bit word,
+# GF(65521) rows of 260 64-bit slots, and GF(2^k) rows of 8-, 16- and
+# 32-bit slots on both sides of each slot-width switch, 20 slots (160 to
+# 640 bits) or 260 slots long
 @pytest.mark.parametrize("field, n", [(prime_field(2), 63),
                                       (prime_field(2), 64),
                                       (prime_field(2), 65),
                                       (prime_field(2), 130),
-                                      (prime_field(65521), 260)],
+                                      (prime_field(65521), 260),
+                                      (binary_field(2), 20),
+                                      (binary_field(4), 20),
+                                      (binary_field(5), 20),
+                                      (binary_field(8), 20),
+                                      (binary_field(9), 20),
+                                      (binary_field(16), 20),
+                                      (SLOW_REDUCTION, 20),
+                                      (binary_field(16), 260)],
                          ids=lambda v: str(v))
 @pytest.mark.parametrize("fill", ["random", "top"])
 def test_kernel_past_one_machine_word(field, n, fill):
@@ -178,3 +205,16 @@ def test_product_of_top_codes_fills_every_slot():
     m = Matrix(field, [[field.order - 1] * 300] * 300)
     (row0,) = scalar_matmul(m, m, rows=[0])
     assert (m @ m).to_lists() == [row0] * 300
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_binary_product_of_top_codes_fills_every_slot(n):
+    # every term is the carry-less product (q-1)*(q-1) of degree 30, the
+    # highest an unreduced 32-bit slot holds; n = 300 equal terms cancel
+    # to 0, n = 301 leave one to reduce
+    field = binary_field(16)
+    m = Matrix(field, [[field.order - 1] * n] * n)
+    (row0,) = scalar_matmul(m, m, rows=[0])
+    assert row0 == [0 if n % 2 == 0 else field.mul(field.order - 1,
+                                                    field.order - 1)] * n
+    assert (m @ m).to_lists() == [row0] * n
