@@ -46,9 +46,9 @@ long row, do this for every slot at once with masks repeated in each
 slot; `entry` reads one slot and takes lo XOR hi*r through the log/exp
 tables in one step.
 
-The default modulus for GF(2^k) is the irreducible polynomial of degree
-k with the smallest coefficient mask, a fixed table so that independent
-implementations agree byte-for-byte:
+The default modulus for GF(2^k) is derived: it is the irreducible
+polynomial of degree k with the smallest coefficient mask, so that
+independent implementations agree byte-for-byte. For reference:
 
     k=1   x                  0x2        k=9    x^9+x+1            0x203
     k=2   x^2+x+1            0x7        k=10   x^10+x^3+1         0x409
@@ -61,10 +61,15 @@ implementations agree byte-for-byte:
 
 Any other irreducible polynomial of the right degree may be passed in
 explicitly (e.g. the mask 0x11D for the Reed-Solomon flavour of GF(2^8)).
+The log/exp tables behind GF(2^k) products use the smallest generator of
+the multiplicative group, also derived: the walk that fills the tables
+tries g = 2, 3, ... and keeps the first g whose powers return to 1 only
+after 2^k - 1 steps.
 
 Field notation used by files and the CLI: ``gf(p)`` for prime fields and
 ``gf(2^k;0xMASK)`` for binary fields (``gf(2^k)`` selects the default
-modulus). Parsing is case-insensitive and whitespace-free.
+modulus). Parsing is case-insensitive and whitespace-free, and takes
+ASCII digits only.
 """
 
 from __future__ import annotations
@@ -85,25 +90,6 @@ _SLOT_MASK = (1 << 64) - 1
 _SHORT_ROW = 8
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
-
-DEFAULT_MODULUS = {
-    1: 0x2,
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-}
 
 
 class FieldError(ValueError):
@@ -169,28 +155,6 @@ def _poly_mod(a: int, m: int) -> int:
     return a
 
 
-def _poly_mulmod(a: int, b: int, m: int) -> int:
-    """Carry-less multiply of a and b, reduced modulo m."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return _poly_mod(r, m)
-
-
-def _poly_powmod(base: int, e: int, m: int) -> int:
-    """base^e modulo the GF(2) polynomial m, by square-and-multiply."""
-    r = 1
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, base, m)
-        base = _poly_mulmod(base, base, m)
-        e >>= 1
-    return r
-
-
 def _is_irreducible(mask: int, k: int) -> bool:
     """Trial division by every polynomial of degree 1..k//2."""
     for d in range(1, k // 2 + 1):
@@ -198,6 +162,11 @@ def _is_irreducible(mask: int, k: int) -> bool:
             if _poly_mod(mask, t) == 0:
                 return False
     return True
+
+
+def _default_modulus(k: int) -> int:
+    """The irreducible polynomial of degree k with the smallest mask."""
+    return next(m for m in range(1 << k, 2 << k) if _is_irreducible(m, k))
 
 
 class FieldSpec:
@@ -236,12 +205,12 @@ class FieldSpec:
                     f"extension degree {_clip(str(size))} "
                     f"outside 1..{MAX_DEGREE}")
             if modulus is None:
-                modulus = DEFAULT_MODULUS[size]
-            if modulus.bit_length() - 1 != size:
+                modulus = _default_modulus(size)
+            elif modulus >> size != 1:
                 raise DegreeMismatchError(
-                    f"modulus {_clip(f'0x{modulus:x}')} has degree "
-                    f"{modulus.bit_length() - 1}, expected {size}")
-            if not _is_irreducible(modulus, size):
+                    f"modulus {_clip(hex(modulus))} is not a polynomial of "
+                    f"degree {size}")
+            elif not _is_irreducible(modulus, size):
                 raise ReduciblePolynomialError(
                     f"modulus 0x{modulus:x} is reducible over GF(2)")
             self.characteristic = 2
@@ -379,17 +348,39 @@ def _arithmetic(field: FieldSpec) -> dict:
                     unpack=unpack, entry=entry, scale=scale, axpy=axpy)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
-    # tables w.r.t. the smallest generator. The exp table is doubled so
-    # exp[log[a] + log[b]] never needs a modular reduction.
+    # tables w.r.t. the smallest generator, found by the walk that fills
+    # them: candidates g = 2, 3, ... write their powers into exp/log, and
+    # the first whose walk returns to 1 only after q - 1 steps generates
+    # GF(q)* and overwrites every entry. A candidate an earlier walk
+    # reached lies in a proper subgroup and is skipped. v*g is linear in
+    # v, so a step reads it off one table per byte of v. The exp table is
+    # doubled so exp[log[a] + log[b]] never needs a modular reduction.
     k, q, m = field.degree, field.order, field.modulus
-    g = _find_generator(q, m)
-    exp = [1] * (2 * (q - 1))
+    exp = [0] * (2 * (q - 1))
     log = [0] * q
-    v = 1
-    for i in range(q - 1):
-        exp[i] = exp[i + q - 1] = v
-        log[v] = i
-        v = _poly_mulmod(v, g, m)
+    for g in range(2, q):
+        if log[g]:
+            continue
+        # lo[c] = c*g and hi[c] = (c << 8)*g: bit b of v adds t = g*x^b
+        lo, hi, t = [0], [0], g
+        for b in range(k):
+            half = lo if b < 8 else hi
+            half += [x ^ t for x in half]
+            t <<= 1
+            if t >> k:
+                t ^= m
+        v, i = 1, 0
+        while True:
+            exp[i] = exp[i + q - 1] = v
+            log[v] = i
+            v = lo[v & 255] ^ hi[v >> 8]
+            i += 1
+            if v == 1:
+                break
+        if i == q - 1:
+            break
+    else:
+        raise AssertionError(f"no generator of GF({q}) for modulus 0x{m:x}")
 
     def mul(a, b):
         return exp[log[a] + log[b]] if a and b else 0
@@ -464,37 +455,18 @@ def _arithmetic(field: FieldSpec) -> dict:
                 unpack=unpack, entry=entry, scale=scale, axpy=axpy)
 
 
-def _find_generator(q: int, m: int) -> int:
-    """The smallest generator of GF(q)* for the binary modulus m."""
-    n = q - 1
-    factors = []
-    r, d = n, 2
-    while d * d <= r:
-        if r % d == 0:
-            factors.append(d)
-            while r % d == 0:
-                r //= d
-        d += 1
-    if r > 1:
-        factors.append(r)
-    for g in range(2, q):
-        if all(_poly_powmod(g, n // f, m) != 1 for f in factors):
-            return g
-    raise AssertionError(f"no generator of GF({q}) for modulus 0x{m:x}")
-
-
 def prime_field(p: int) -> FieldSpec:
     """GF(p) for a prime p < 2^16."""
     return FieldSpec(PRIME, p)
 
 
 def binary_field(k: int, modulus: int | None = None) -> FieldSpec:
-    """GF(2^k) for 1 <= k <= 16, with the table default or a given modulus."""
+    """GF(2^k) for 1 <= k <= 16, with the default or a given modulus."""
     return FieldSpec(BINARY, k, modulus)
 
 
-_PRIME_RE = re.compile(r"gf\((\d+)\)")
-_BINARY_RE = re.compile(r"gf\(2\^(\d+)(?:;0x([0-9a-f]+))?\)")
+_PRIME_RE = re.compile(r"gf\(([0-9]+)\)")
+_BINARY_RE = re.compile(r"gf\(2\^([0-9]+)(?:;0x([0-9a-f]+))?\)")
 
 
 def parse_field(text: str) -> FieldSpec:

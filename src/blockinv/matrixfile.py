@@ -6,7 +6,7 @@ Text format, one matrix per file:
     gf(2)
     6 6 2
     1 0 1 1 0 0
-    ... one line of space-separated decimal codes per row ...
+    ... one line of space-separated ASCII decimal codes per row ...
 
 Line 3 is "rows cols p" where p is the block size the matrix was built
 for (metadata; verification may override it). JSON carries the same
@@ -67,7 +67,7 @@ def dump(m: Matrix, p: int, fmt: str = TEXT) -> str:
 def load(text: str) -> tuple[Matrix, int]:
     """Parse either format (sniffed from the first byte) into (matrix, p)."""
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return _load_json(stripped)
     return _load_text(text)
 
@@ -97,14 +97,17 @@ def _load_text(text: str) -> tuple[Matrix, int]:
 
 
 def _ints(line: str, what: str) -> list[int]:
-    """The whitespace-separated decimal ints on one line of a text file."""
+    """The whitespace-separated ASCII decimal ints on one text-file line."""
     tokens = line.split()
-    try:
-        return list(map(int, tokens))
-    except ValueError:  # digits that int() refuses are over its length limit
-        bad = ("over-long" if all((t[1:] if t[0] in "+-" else t).isdecimal()
-                                  for t in tokens) else "non-integer")
-        raise MatrixFileError(f"{bad} {what} {_clip(repr(line))}") from None
+    # int() alone would also take "+", "_" and non-ASCII digits
+    if line.isascii() and "+" not in line and "_" not in line:
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # a misplaced "-", or over int()'s length limit
+            if all(t.removeprefix("-").isdigit() for t in tokens):
+                raise MatrixFileError(
+                    f"over-long {what} {_clip(repr(line))}") from None
+    raise MatrixFileError(f"non-integer {what} {_clip(repr(line))}")
 
 
 def _load_json(text: str) -> tuple[Matrix, int]:
@@ -116,9 +119,10 @@ def _load_json(text: str) -> tuple[Matrix, int]:
         raise MatrixFileError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("format") != "bim":
         raise MatrixFileError("not a bim matrix object")
-    if obj.get("version") != 1:
+    version = obj.get("version")
+    if type(version) is not int or version != 1:
         raise MatrixFileError(
-            f"unsupported version {_clip(repr(obj.get('version')))}")
+            f"unsupported version {_clip(repr(version))}")
     for key in ("field", "rows", "cols", "p", "data"):
         if key not in obj:
             raise MatrixFileError(f"missing key {key!r}")

@@ -69,6 +69,8 @@ def test_generate_validation_exit_2(capsys):
                "--field", "gf(6)")[0] == 2
     assert run(capsys, "generate", "--n", "4", "--p", "2",
                "--field", "nonsense")[0] == 2
+    assert run(capsys, "generate", "--n", "4", "--p", "2",
+               "--field", "gf(\u0663)")[0] == 2
     # seeds are 64-bit: out-of-range values are rejected, not reduced
     for seed in ("-1", "0x10000000000000000", "18446744073709551616"):
         code, out, err = run(capsys, "generate", "--n", "4", "--p", "2",
@@ -212,11 +214,21 @@ DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
     (f"bim v1\ngf(2)\n1 1 1\n{HUGE}\n", "over-long entry in row '99"),
     (f"bim v1\ngf(2)\n1 1 1\n{DIGITS}\n", "out of range"),
     (_bim_json(data=[[LONG]]), "must be an int"),
-    (f"bim v1\ngf(2^8;0x{'f' * 5000})\n1 1 1\n1\n", "has degree"),
+    (f"bim v1\ngf(2^8;0x{'f' * 5000})\n1 1 1\n1\n", "degree 8"),
+    ("bim v1\ngf(11)\n1 1 1\n1_0\n", "non-integer entry"),
+    ("bim v1\ngf(2)\n1 1 1\n+0\n", "non-integer entry"),
+    ("bim v1\ngf(2)\n1 1 1\n\u0661\n", "non-integer entry"),
+    ("bim v1\ngf(2)\n+1 1 1_0\n1\n", "non-integer header"),
+    ("bim v1\ngf(\u0663)\n1 1 1\n1\n", "field"),
+    (_bim_json(version=True), "version"),
+    (_bim_json(version=1.0), "version"),
+    ("[[1, 0], [0, 1]]", "not a bim matrix object"),
 ], ids=["magic", "header", "header-token", "field", "json-version",
         "binary-degree", "prime", "rows", "cols", "negative-rows",
         "negative-p", "file-p", "json-rows", "data-token", "data-code",
-        "json-data-string", "hex-mask"])
+        "json-data-string", "hex-mask", "data-underscore", "data-plus",
+        "data-arabic-digit", "header-plus", "field-arabic-digit",
+        "json-version-true", "json-version-float", "json-array"])
 def test_verify_bounds_echoed_input(tmp_path, capsys, content, word):
     path = tmp_path / "bad.bim"
     path.write_text(content)

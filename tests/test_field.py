@@ -5,11 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from blockinv.field import (BINARY, DEFAULT_MODULUS, MAX_DEGREE,
-                            DegreeMismatchError, FieldError, FieldSpec,
-                            NotPrimeError, ReduciblePolynomialError,
-                            UnsupportedSizeError, binary_field, parse_field,
-                            prime_field)
+from blockinv.field import (BINARY, MAX_DEGREE, DegreeMismatchError,
+                            FieldError, FieldSpec, NotPrimeError,
+                            ReduciblePolynomialError, UnsupportedSizeError,
+                            binary_field, parse_field, prime_field)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -35,7 +34,7 @@ def test_gf256_explicit_modulus():
     f = binary_field(8, 0x11B)
     assert f.order == 256
     assert f.modulus == 0x11B
-    assert f == GF256  # 0x11B is also the table default
+    assert f == GF256  # 0x11B is also the default
 
 
 def test_composite_characteristic_rejected():
@@ -66,8 +65,13 @@ def test_reducible_modulus_rejected():
 
 
 def test_modulus_degree_must_match():
-    with pytest.raises(DegreeMismatchError):
-        binary_field(8, 0x13)  # degree 4 polynomial for k=8
+    for k, mask in ((8, 0x13),  # degree 4 polynomial for k=8
+                    (2, 0x13),
+                    (4, 0),
+                    (2, -7),  # a negative int is no coefficient mask
+                    (8, -0x11B)):
+        with pytest.raises(DegreeMismatchError):
+            binary_field(k, mask)
 
 
 def test_bad_kind():
@@ -84,16 +88,28 @@ def poly_long_division_remainder(a, m):
     return a
 
 
+#: The default modulus of each degree: the smallest irreducible mask.
+DEFAULT_MASKS = {1: 0x2, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43,
+                 7: 0x83, 8: 0x11B, 9: 0x203, 10: 0x409, 11: 0x805,
+                 12: 0x1009, 13: 0x201B, 14: 0x4021, 15: 0x8003,
+                 16: 0x1002B}
+
+
 def test_default_table_is_irreducible_by_long_division():
-    # Every default modulus must leave a nonzero remainder against every
-    # polynomial of degree 1..k//2 (checked here independently of the
-    # constructor's own trial division).
-    for k, mask in DEFAULT_MODULUS.items():
+    # The constructor derives each default; this checks independently of
+    # its trial division that the mask is irreducible and that every
+    # smaller mask of degree k has a factor of degree 1..k//2.
+    def has_factor(mask, k):
+        return any(poly_long_division_remainder(mask, trial) == 0
+                   for d in range(1, k // 2 + 1)
+                   for trial in range(1 << d, 1 << (d + 1)))
+
+    for k, mask in DEFAULT_MASKS.items():
+        assert binary_field(k).modulus == mask
         assert mask.bit_length() - 1 == k
-        for d in range(1, k // 2 + 1):
-            for trial in range(1 << d, 1 << (d + 1)):
-                assert poly_long_division_remainder(mask, trial) != 0, (
-                    f"k={k}: 0x{mask:x} divisible by 0x{trial:x}")
+        assert not has_factor(mask, k), f"k={k}: 0x{mask:x} is reducible"
+        for smaller in range(1 << k, mask):
+            assert has_factor(smaller, k), f"k={k}: 0x{smaller:x} irreducible"
 
 
 def test_every_default_degree_constructs():
@@ -130,16 +146,24 @@ def test_binary_mul_matches_long_division_oracle():
                 prod ^= b << i
         return poly_long_division_remainder(prod, modulus)
 
-    for a in range(GF16.order):
-        for b in range(GF16.order):
-            assert GF16.mul(a, b) == oracle_mul(a, b, GF16.modulus)
+    # 0x17B and 0x1CEB5 have the smallest generators 9 and 26, found
+    # after walking several candidates of smaller order
+    for fld in (GF16, binary_field(8, 0x17B)):
+        for a in range(fld.order):
+            for b in range(fld.order):
+                assert fld.mul(a, b) == oracle_mul(a, b, fld.modulus)
+            if a:
+                assert oracle_mul(a, fld.inv(a), fld.modulus) == 1
 
     rnd = random.Random(1)
-    for fld in (GF256, binary_field(8, 0x11D), binary_field(12)):
+    for fld in (GF256, binary_field(8, 0x11D), binary_field(12),
+                binary_field(14), binary_field(16, 0x1CEB5)):
         for _ in range(2000):
             a = rnd.randrange(fld.order)
             b = rnd.randrange(fld.order)
             assert fld.mul(a, b) == oracle_mul(a, b, fld.modulus)
+            if b:
+                assert oracle_mul(b, fld.inv(b), fld.modulus) == 1
 
 
 def test_inverse_of_zero_raises():
@@ -238,7 +262,8 @@ def test_parse_rejects_junk():
     huge = "9" * 5000  # longer than Python's int-conversion limit
     for bad in ("gf()", "gf(2^)", "gf(-3)", "field(5)", "gf(2^4;13)", "",
                 f"gf({huge})", "gf(" + "0" * 4999 + "2)", f"gf(2^{huge})",
-                f"gf(2^{huge};0x11b)"):
+                f"gf(2^{huge};0x11b)", "gf(\u0663)", "gf(2^\u0668)",
+                "gf(2^\uff18)"):
         with pytest.raises(FieldError):
             parse_field(bad)
 

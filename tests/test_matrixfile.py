@@ -88,6 +88,15 @@ def test_unknown_dump_format():
     "bim v1\ngf(2)\n1 2 1\n1\n",           # short data row
     "bim v1\ngf(2)\n1 1 1\n2\n",           # code out of range
     "bim v1\ngf(2)\n1 1 1\nx\n",           # non-integer entry
+    # int() takes these, but they are not ASCII decimal tokens
+    "bim v1\ngf(11)\n1 1 1\n1_0\n",
+    "bim v1\ngf(2)\n1 1 1\n+0\n",
+    "bim v1\ngf(2)\n1 1 1\n\u0661\n",
+    "bim v1\ngf(2)\n+1 1 1\n1\n",
+    "bim v1\ngf(2)\n1 1 1_0\n1\n",
+    "bim v1\ngf(2)\n1 1 \uff11\n1\n",
+    "bim v1\ngf(\u0663)\n1 1 1\n1\n",
+    "[[1]]",                               # JSON, but not an object
 ])
 def test_malformed_text_rejected(text):
     with pytest.raises(MatrixFileError):
@@ -105,6 +114,8 @@ def test_malformed_text_rejected(text):
     lambda o: o.update(data=[[0, 9], [1, 0]]),  # out of range
     lambda o: o.update(data=[[0, True], [1, 0]]),
     lambda o: o.update(p=True),
+    lambda o: o.update(version=True),
+    lambda o: o.update(version=1.0),
 ])
 def test_malformed_json_rejected(mutate):
     obj = json.loads(dump_json(Matrix(GF2, [[0, 1], [1, 0]]), 2))
