@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import matrixfile
@@ -47,18 +48,23 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _int(text: str, base: int = 10) -> int:
-    """argparse type for an int option; a malformed value is quoted clipped."""
+def _int(text: str) -> int:
+    """argparse type for an int option: as in matrix files, only its int's
+    one ASCII decimal spelling, str(int(text)) == text; else quoted clipped."""
     try:
-        return int(text, base)
+        if str(value := int(text)) == text:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {_clip(repr(text))}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"invalid int value: {_clip(repr(text))}")
 
 
 def _seed(text: str) -> int:
-    """argparse type for --seed: an int literal (any base) in [0, 2^64)."""
-    value = _int(text, 0)
+    """argparse type for --seed: decimal as `_int`, or 0x and hex digits,
+    in [0, 2^64)."""
+    value = (int(text, 16) if re.fullmatch(r"0x[0-9a-fA-F]+", text)
+             else _int(text))
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(
             f"seed {_clip(text)} is outside [0, 2^64)")
@@ -149,14 +155,15 @@ def cmd_kron(args) -> int:
     except FieldError as e:
         _err(str(e))
         return 2
-    if args.p < 2:
-        _err("p must be at least 2")
-        return 2
     if args.p > KRON_MAX_P:
         _err(f"p {_clip(str(args.p))} is above the limit {KRON_MAX_P}")
         return 2
     rng = SplitMix64(args.seed)
-    res = kronecker_generate(args.p, fld, rng, max_trials=args.max_trials)
+    try:
+        res = kronecker_generate(args.p, fld, rng, max_trials=args.max_trials)
+    except ValueError as e:  # a block size below 2
+        _err(str(e))
+        return 2
     if res.found:
         rep = verify_blocks(res.matrix, args.p)
         if not rep.is_block_invertible_square:

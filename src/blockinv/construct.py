@@ -13,9 +13,10 @@ bottom-right corner:
 W is chosen so that both W and the corner are invertible, which makes N
 invertible via the factorization N = [[M, 0], [X, W]] @ [[I, M^-1 @ Y],
 [0, I]], and every block of N is a block of M, a strip block, or the
-invertible corner. Finding W reduces the corner's defect S = X @ M^-1 @ Y
-to rank normal form, left @ S @ right = diag(I_r, 0), and patches it with
-a fixed perturbation matrix: W = left^-1 @ A @ right^-1.
+invertible corner. Finding W factors the corner's defect
+S = X @ M^-1 @ Y through its rank normal form, S = L @ diag(I_r, 0) @ R,
+and patches it with a fixed perturbation matrix: W = L @ A @ R, so the
+corner is L @ (diag(I_r, 0) + A) @ R.
 
 Because X is block-row bi of M itself, X @ M^-1 is the block-row
 selector [0 .. I .. 0], so the defect is just the block S = M[bi][bj]
@@ -57,6 +58,12 @@ class NotBlockInvertibleError(ValueError):
     """Input matrix fails the block invertibility precondition."""
 
 
+def _check_min_block_size(p: int) -> None:
+    """The constructions need blocks of size 2 or more."""
+    if p < 2:
+        raise ValueError("block size p must be at least 2")
+
+
 class StripChoice(Enum):
     """Which block-row/block-column of M becomes the border strips X and Y."""
 
@@ -76,11 +83,11 @@ class GeneratorConfig:
     strip: StripChoice = StripChoice.FIRST
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("block size p must be at least 2")
+        _check_min_block_size(self.p)
         n, p = _clip(str(self.n)), _clip(str(self.p))
-        if self.n < self.p:
-            raise ValueError(f"n={n} must be at least p={p}")
+        # with n positive, p | n also gives n >= p
+        if self.n < 1:
+            raise ValueError(f"n={n} must be positive")
         if self.n % self.p:
             raise ValueError(f"p={p} must divide n={n}")
 
@@ -101,8 +108,7 @@ def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
     invertible regardless of characteristic. Nothing is re-checked here:
     a growth step certifies the W and corner built from A.
     """
-    if p < 2:
-        raise ValueError("block size p must be at least 2")
+    _check_min_block_size(p)
     if not 0 <= r <= p:
         raise ValueError(f"rank {r} out of range 0..{p}")
 
@@ -133,16 +139,16 @@ def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
 def corner_completion(s: Matrix) -> tuple[Matrix, Matrix]:
     """Return (w, corner) with w invertible and corner = s + w invertible.
 
-    Reduces s to rank normal form, left @ s @ right = diag(I_r, 0), and
-    sets w = left^-1 @ A @ right^-1 for the (p, r) perturbation matrix A;
-    then s + w = left^-1 @ (diag(I_r, 0) + A) @ right^-1, a product of
-    invertible matrices.
+    Factors s through its rank normal form, s = L @ diag(I_r, 0) @ R,
+    and sets w = L @ A @ R for the (p, r) perturbation matrix A; then
+    s + w = L @ (diag(I_r, 0) + A) @ R, a product of invertible
+    matrices.
     """
     if not s.is_square:
         raise ValueError(f"corner defect must be square, got {s.nrows}x{s.ncols}")
     d = rank_decompose(s)
     a = perturbation_matrix(s.nrows, d.rank, s.field)
-    w = d.left.inverse() @ a @ d.right.inverse()
+    w = d.left @ a @ d.right
     return w, s + w
 
 
@@ -161,18 +167,16 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
     """
     if not m.is_square:
         raise ValueError(f"cannot extend {m.nrows}x{m.ncols} matrix")
-    t = m.nrows
-    if p < 2 or t % p:
-        raise ValueError(f"block size {p} invalid for a {t}x{t} matrix")
+    _check_min_block_size(p)
 
-    rep = verify_blocks(m, p)
+    rep = verify_blocks(m, p)  # raises ValueError unless p divides m
     if not rep.whole_invertible:
         raise NotBlockInvertibleError("input matrix is singular")
     if rep.failing_blocks:
         i, j = rep.failing_blocks[0]
         raise NotBlockInvertibleError(f"input block ({i}, {j}) is singular")
 
-    return _grow(m, p, *_strip_indices(strip, t // p, rng))
+    return _grow(m, p, *_strip_indices(strip, m.nrows // p, rng))
 
 
 def _strip_indices(strip: StripChoice, nb: int,
@@ -312,8 +316,7 @@ def kronecker_generate(p: int, field: FieldSpec, rng: SplitMix64,
     singular all-ones one); otherwise it draws up to max_trials random
     all-nonzero candidates and a miss is merely inconclusive.
     """
-    if p < 2:
-        raise ValueError("block size p must be at least 2")
+    _check_min_block_size(p)
     q = field.order
     a = None
     # q >= 2, so p*p > 20 already puts q^(p*p) past the limit, and the

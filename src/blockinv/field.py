@@ -69,7 +69,7 @@ after 2^k - 1 steps.
 Field notation used by files and the CLI: ``gf(p)`` for prime fields and
 ``gf(2^k;0xMASK)`` for binary fields (``gf(2^k)`` selects the default
 modulus). Parsing is case-insensitive and whitespace-free, and takes
-ASCII digits only.
+each decimal number in its one spelling: ASCII digits, no leading zero.
 """
 
 from __future__ import annotations
@@ -465,8 +465,8 @@ def binary_field(k: int, modulus: int | None = None) -> FieldSpec:
     return FieldSpec(BINARY, k, modulus)
 
 
-_PRIME_RE = re.compile(r"gf\(([0-9]+)\)")
-_BINARY_RE = re.compile(r"gf\(2\^([0-9]+)(?:;0x([0-9a-f]+))?\)")
+_PRIME_RE = re.compile(r"gf\((0|[1-9][0-9]*)\)")
+_BINARY_RE = re.compile(r"gf\(2\^(0|[1-9][0-9]*)(?:;0x([0-9a-f]+))?\)")
 
 
 def parse_field(text: str) -> FieldSpec:

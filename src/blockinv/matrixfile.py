@@ -97,16 +97,20 @@ def _load_text(text: str) -> tuple[Matrix, int]:
 
 
 def _ints(line: str, what: str) -> list[int]:
-    """The whitespace-separated ASCII decimal ints on one text-file line."""
+    """The whitespace-separated ints on one text-file line, each token its
+    int's one ASCII decimal spelling: str(int(t)) == t, as int() alone
+    would also take "+", "_", leading zeros, "-0" and non-ASCII digits."""
     tokens = line.split()
-    # int() alone would also take "+", "_" and non-ASCII digits
-    if line.isascii() and "+" not in line and "_" not in line:
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # a misplaced "-", or over int()'s length limit
-            if all(t.removeprefix("-").isdigit() for t in tokens):
-                raise MatrixFileError(
-                    f"over-long {what} {_clip(repr(line))}") from None
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # no int, or over int()'s length limit
+        if line.isascii() and all(t.removeprefix("-").isdigit()
+                                  for t in tokens):
+            raise MatrixFileError(
+                f"over-long {what} {_clip(repr(line))}") from None
+    else:
+        if list(map(str, values)) == tokens:
+            return values
     raise MatrixFileError(f"non-integer {what} {_clip(repr(line))}")
 
 

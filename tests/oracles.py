@@ -68,4 +68,4 @@ def decomposition_check(s: Matrix, d: RankDecomposition) -> bool:
         return False
     if d.rank != s.rank():
         return False
-    return d.left @ s @ d.right == rank_normal_form(s.field, s.nrows, d.rank)
+    return d.left @ rank_normal_form(s.field, s.nrows, d.rank) @ d.right == s

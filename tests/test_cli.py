@@ -63,6 +63,10 @@ def test_generate_validation_exit_2(capsys):
                        "--field", "gf(2)")
     assert code == 2
     assert "divide" in err
+    code, out, err = run(capsys, "generate", "--n", "0", "--p", "2",
+                         "--field", "gf(2)")
+    assert code == 2 and out == ""
+    assert err == "blockinv: n=0 must be positive\n"
     assert run(capsys, "generate", "--n", "4", "--p", "1",
                "--field", "gf(2)")[0] == 2
     assert run(capsys, "generate", "--n", "4", "--p", "2",
@@ -223,12 +227,20 @@ DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
     (_bim_json(version=True), "version"),
     (_bim_json(version=1.0), "version"),
     ("[[1, 0], [0, 1]]", "not a bim matrix object"),
+    ("bim v1\ngf(2)\n1 1 1\n-0\n", "non-integer entry"),
+    ("bim v1\ngf(11)\n1 1 1\n007\n", "non-integer entry"),
+    ("bim v1\ngf(2)\n001 1 1\n1\n", "non-integer header"),
+    ("bim v1\ngf(007)\n1 1 1\n1\n", "field"),
+    ("bim v1\ngf(2)\n-1 1 1\n1\n", "bad dimensions"),
+    ("bim v1\ngf(2)\n1 1 -1\n1\n", "bad block size"),
 ], ids=["magic", "header", "header-token", "field", "json-version",
         "binary-degree", "prime", "rows", "cols", "negative-rows",
         "negative-p", "file-p", "json-rows", "data-token", "data-code",
         "json-data-string", "hex-mask", "data-underscore", "data-plus",
         "data-arabic-digit", "header-plus", "field-arabic-digit",
-        "json-version-true", "json-version-float", "json-array"])
+        "json-version-true", "json-version-float", "json-array",
+        "data-minus-zero", "data-leading-zero", "header-leading-zero",
+        "field-leading-zero", "header-minus-rows", "header-minus-p"])
 def test_verify_bounds_echoed_input(tmp_path, capsys, content, word):
     path = tmp_path / "bad.bim"
     path.write_text(content)
@@ -371,7 +383,10 @@ def test_kron_determinism(capsys):
 
 
 def test_kron_validation_exit_2(capsys):
-    assert run(capsys, "kron", "--p", "1", "--field", "gf(3)")[0] == 2
+    for p in ("1", "0", "-3"):
+        code, out, err = run(capsys, "kron", "--p", p, "--field", "gf(3)")
+        assert code == 2 and out == ""
+        assert err == "blockinv: block size p must be at least 2\n"
     assert run(capsys, "kron", "--p", "2", "--field", "gf(4)")[0] == 2
     assert run(capsys, "kron", "--p", "2", "--field", f"gf({HUGE})")[0] == 2
     for seed in ("-1", "0x10000000000000000"):
@@ -479,3 +494,37 @@ def test_generate_config_error_quoted_bounded(capsys, n, p):
                          "--field", "gf(2)")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+# int() takes each of these, but none is its int's one decimal spelling
+# (nor 0x and hex digits, which --seed also takes)
+NON_DECIMAL = ["٢", "２", "1_1", "+4", "04", "-0", " 4", "4\n",
+               "0b11", "0o7", "0b1_1", "0x_ff", "0XFF", "0x", "0x١",
+               "-01", "9" * 40 + "_9"]
+INT_OPTIONS = [case for case in OPTION_CASES
+               if case[1] not in ("--strip", "--format")]
+
+
+@pytest.mark.parametrize("command, option, rest", INT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in INT_OPTIONS])
+@pytest.mark.parametrize("value", NON_DECIMAL)
+def test_int_options_take_one_decimal_spelling(tmp_path, capsys, command,
+                                               option, rest, value):
+    (tmp_path / "m.bim").write_text(
+        dump_text(Matrix.identity(prime_field(2), 4), 2))
+    code, out, err = run(capsys, command,
+                         *rest.replace("m.bim", str(tmp_path / "m.bim")).split(),
+                         option, value)
+    assert code == 2 and out == ""
+    last = err.splitlines()[-1]
+    assert f"{option}: invalid int value" in last
+    assert len(last.encode()) < 300
+
+
+def test_seed_takes_decimal_or_hex(capsys):
+    args = ("generate", "--n", "6", "--p", "2", "--field", "gf(3)")
+    default = run(capsys, *args)
+    assert default[0] == 0
+    for seed in (str(DEFAULT_SEED), f"0x{DEFAULT_SEED:X}",
+                 f"0x{DEFAULT_SEED:x}", f"0x000{DEFAULT_SEED:x}"):
+        assert run(capsys, *args, "--seed", seed)[:2] == default[:2]

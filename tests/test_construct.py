@@ -143,8 +143,10 @@ def test_extend_rejects_bad_input():
         extend(Matrix.identity(GF2, 4), 2)  # off-diagonal blocks singular
     with pytest.raises(NotBlockInvertibleError):
         extend(Matrix.zeros(GF2, 2, 2), 2)  # whole matrix singular
-    with pytest.raises(ValueError):
-        extend(Matrix.identity(GF2, 4), 3)  # 3 does not divide 4
+    with pytest.raises(ValueError, match="does not divide"):
+        extend(Matrix.identity(GF2, 4), 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        extend(Matrix.identity(GF2, 4), 1)
     with pytest.raises(ValueError):
         extend(Matrix.zeros(GF2, 2, 3), 2)  # not square
 
@@ -295,6 +297,9 @@ def test_config_validation():
         GeneratorConfig(n=4, p=1, field=GF2)
     with pytest.raises(ValueError):
         GeneratorConfig(n=2, p=4, field=GF2)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n={n} must be positive"):
+            GeneratorConfig(n=n, p=2, field=GF2)
 
 
 # ----------------------------------------------------------------------

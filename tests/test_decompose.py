@@ -1,4 +1,4 @@
-"""Rank decomposition: left @ S @ right = diag(I_r, 0)."""
+"""Rank decomposition: S = left @ diag(I_r, 0) @ right."""
 
 import random
 
@@ -9,7 +9,7 @@ from blockinv.decompose import (RankDecomposition, rank_decompose,
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix
 
-from oracles import decomposition_check
+from oracles import decomposition_check, scalar_rref
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -48,11 +48,31 @@ def test_zero_matrix():
     assert d.right == Matrix.identity(GF2, 4)
 
 
-def test_gf2_all_ones():
-    s = Matrix(GF2, [[1, 1], [1, 1]])
+def test_gf5_factors_express_s():
+    # reducing [S | I] leaves P = [[3, 0], [2, 1]] with P @ P != I, so
+    # left = P^-1 differs from P and only one orientation holds
+    s = Matrix(GF5, [[2, 4], [1, 2]])
     d = rank_decompose(s)
     assert d.rank == 1
-    assert d.left @ s @ d.right == Matrix(GF2, [[1, 0], [0, 0]])
+    assert d.left == Matrix(GF5, [[2, 0], [1, 1]])
+    assert d.right == Matrix(GF5, [[1, 2], [0, 1]])
+    nf = rank_normal_form(GF5, 2, 1)
+    assert d.left @ nf @ d.right == s
+    assert d.left @ s @ d.right != nf
+
+
+def test_right_is_rref_then_unit_rows():
+    rnd = random.Random(99)
+    for i in range(300):
+        field = (GF2, GF3, GF5, GF16)[i % 4]
+        s = random_square(field, rnd.randrange(1, 8), rnd)
+        rref, pivots = scalar_rref(s.to_lists(), field)
+        n, r = s.nrows, len(pivots)
+        units = [[1 if k == j else 0 for k in range(n)]
+                 for j in range(n) if j not in pivots]
+        d = rank_decompose(s)
+        assert d.rank == r
+        assert d.right.to_lists() == rref[:r] + units
 
 
 def test_rank_normal_form_shape():

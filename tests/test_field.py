@@ -263,7 +263,8 @@ def test_parse_rejects_junk():
     for bad in ("gf()", "gf(2^)", "gf(-3)", "field(5)", "gf(2^4;13)", "",
                 f"gf({huge})", "gf(" + "0" * 4999 + "2)", f"gf(2^{huge})",
                 f"gf(2^{huge};0x11b)", "gf(\u0663)", "gf(2^\u0668)",
-                "gf(2^\uff18)"):
+                "gf(2^\uff18)", "gf(007)", "gf(00)", "gf(2^08)",
+                "gf(2^08;0x11b)"):
         with pytest.raises(FieldError):
             parse_field(bad)
 

@@ -53,9 +53,13 @@ def _kernel_records():
                     inv = m.inverse().to_lists()
                 except SingularMatrixError:
                     inv = "singular"
+                # the digest pins the factors that reduce m to its normal
+                # form, P @ m @ Q = diag(I_r, 0): the inverses of left
+                # and right
                 d = rank_decompose(m)
                 rec = [str(field), n, sparse, m.rank(), wide.rank(), inv,
-                       d.left.to_lists(), d.right.to_lists(), d.rank,
+                       d.left.inverse().to_lists(),
+                       d.right.inverse().to_lists(), d.rank,
                        (m @ m).to_lists(), (m + m).to_lists()]
                 if n <= 5:
                     rec.append(m.kron(m).to_lists())

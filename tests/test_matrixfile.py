@@ -96,6 +96,13 @@ def test_unknown_dump_format():
     "bim v1\ngf(2)\n1 1 1_0\n1\n",
     "bim v1\ngf(2)\n1 1 \uff11\n1\n",
     "bim v1\ngf(\u0663)\n1 1 1\n1\n",
+    # ints, but not in their one decimal spelling
+    "bim v1\ngf(2)\n1 1 1\n-0\n",
+    "bim v1\ngf(11)\n1 1 1\n007\n",
+    "bim v1\ngf(2)\n001 1 1\n1\n",
+    "bim v1\ngf(2)\n1 1 01\n1\n",
+    "bim v1\ngf(007)\n1 1 1\n1\n",
+    "bim v1\ngf(2^08)\n1 1 1\n1\n",
     "[[1]]",                               # JSON, but not an object
 ])
 def test_malformed_text_rejected(text):
