@@ -12,6 +12,10 @@ Exit codes: 0 success (including a conclusive negative kron result),
 3 verification failure, 4 inconclusive kron search. Matrix data goes to
 --out or stdout; summary lines and errors go to stderr, so stdout stays
 byte-reproducible for identical flags and seed.
+
+The generators (`construct`, and `rng` for their seeded stream) are
+imported by the subcommands that run them, so `verify` loads only the
+file, field, matrix and verifier modules.
 """
 
 from __future__ import annotations
@@ -21,12 +25,9 @@ import math
 import re
 import sys
 
-from . import matrixfile
-from .construct import (DEFAULT_SEED, GeneratorConfig, StripChoice,
-                        generate, gl_count, kronecker_generate)
+from . import DEFAULT_SEED, StripChoice, matrixfile
 from .field import FieldError, _clip, parse_field
 from .matrixfile import MatrixFileError
-from .rng import SplitMix64
 from .verify import render_report, render_report_json, verify_blocks
 
 
@@ -80,6 +81,7 @@ def _trials(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .construct import GeneratorConfig, generate
     try:
         fld = parse_field(args.field)
         config = GeneratorConfig(n=args.n, p=args.p, field=fld,
@@ -127,6 +129,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .construct import gl_count
     p, q, limit = args.p, args.q, sys.get_int_max_str_digits()
     # q^(p^2) is printed below; past 4 * limit bits it exceeds 10^limit
     if limit and p > 0 and q > 1 and not (
@@ -150,6 +153,8 @@ KRON_MAX_P = 32
 
 
 def cmd_kron(args) -> int:
+    from .construct import kronecker_generate
+    from .rng import SplitMix64
     try:
         fld = parse_field(args.field)
     except FieldError as e:

@@ -41,17 +41,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from math import prod
 
+from . import DEFAULT_SEED, StripChoice
 from .decompose import rank_decompose
 from .field import FieldSpec, _clip, _is_prime
 from .matrix import Matrix
 from .rng import SplitMix64
 from .verify import verify_blocks
-
-#: Seed used by the CLI when none is given.
-DEFAULT_SEED = 0xB10CC0DE
 
 
 class NotBlockInvertibleError(ValueError):
@@ -62,14 +59,6 @@ def _check_min_block_size(p: int) -> None:
     """The constructions need blocks of size 2 or more."""
     if p < 2:
         raise ValueError("block size p must be at least 2")
-
-
-class StripChoice(Enum):
-    """Which block-row/block-column of M becomes the border strips X and Y."""
-
-    FIRST = "first"
-    LAST = "last"
-    RANDOM = "random"
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,10 @@ after 2^k - 1 steps.
 
 Field notation used by files and the CLI: ``gf(p)`` for prime fields and
 ``gf(2^k;0xMASK)`` for binary fields (``gf(2^k)`` selects the default
-modulus). Parsing is case-insensitive and whitespace-free, and takes
-each decimal number in its one spelling: ASCII digits, no leading zero.
+modulus). Parsing is whitespace-free, takes ``gf`` in either case, and
+takes each number in the one spelling that str() of a FieldSpec writes:
+decimal sizes in ASCII digits with no leading zero, and the mask as
+``0x`` followed by lowercase hex digits with no leading zero.
 """
 
 from __future__ import annotations
@@ -465,8 +467,9 @@ def binary_field(k: int, modulus: int | None = None) -> FieldSpec:
     return FieldSpec(BINARY, k, modulus)
 
 
-_PRIME_RE = re.compile(r"gf\((0|[1-9][0-9]*)\)")
-_BINARY_RE = re.compile(r"gf\(2\^(0|[1-9][0-9]*)(?:;0x([0-9a-f]+))?\)")
+_PRIME_RE = re.compile(r"(?i:gf)\((0|[1-9][0-9]*)\)")
+_BINARY_RE = re.compile(
+    r"(?i:gf)\(2\^(0|[1-9][0-9]*)(?:;0x(0|[1-9a-f][0-9a-f]*))?\)")
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -474,7 +477,7 @@ def parse_field(text: str) -> FieldSpec:
 
     Raises FieldError for any text that names no supported field.
     """
-    s = text.strip().lower()
+    s = text.strip()
     m = _BINARY_RE.fullmatch(s) or _PRIME_RE.fullmatch(s)
     if not m:
         raise FieldError(f"cannot parse field notation {_clip(repr(text))}")

@@ -23,6 +23,7 @@ exactly, modulus included (binary field notation spells out the modulus).
 from __future__ import annotations
 
 import json
+import re
 
 from .field import FieldError, _clip, parse_field
 from .matrix import Matrix
@@ -32,6 +33,11 @@ MAGIC = "bim v1"
 TEXT = "text"
 JSON = "json"
 FORMATS = (TEXT, JSON)
+
+#: A line of whitespace-separated numbers, each in the one spelling str()
+#: gives an int: ASCII digits after an optional "-", no leading zero and
+#: no "-0". re's \s and str.split() both split on str.isspace() characters.
+_SPELLED_LINE = re.compile(r"\s*(?:(?:0|-?[1-9][0-9]*)(?:\s+|\Z))*")
 
 
 class MatrixFileError(ValueError):
@@ -99,7 +105,8 @@ def _load_text(text: str) -> tuple[Matrix, int]:
 def _ints(line: str, what: str) -> list[int]:
     """The whitespace-separated ints on one text-file line, each token its
     int's one ASCII decimal spelling: str(int(t)) == t, as int() alone
-    would also take "+", "_", leading zeros, "-0" and non-ASCII digits."""
+    would also take "+", "_", leading zeros, "-0" and non-ASCII digits.
+    The spelling is checked on the whole line at once, by _SPELLED_LINE."""
     tokens = line.split()
     try:
         values = list(map(int, tokens))
@@ -109,7 +116,7 @@ def _ints(line: str, what: str) -> list[int]:
             raise MatrixFileError(
                 f"over-long {what} {_clip(repr(line))}") from None
     else:
-        if list(map(str, values)) == tokens:
+        if _SPELLED_LINE.fullmatch(line):
             return values
     raise MatrixFileError(f"non-integer {what} {_clip(repr(line))}")
 

@@ -6,38 +6,44 @@ its rank is its size. It is the one place this is decided: `extend`
 checks its input through it, and the test suite cross-checks every
 verdict against whether `inverse()` succeeds. Verdicts are gathered in
 row-major block order, so the report is deterministic.
+
+A block's verdict depends only on its contents, so each distinct block
+is ranked once and its verdict reused wherever it recurs. This matters
+for generated matrices: a growth step copies blocks of M into its
+border and derives the corner from one of them, so a 256 x 256 output
+with 4 x 4 blocks has 4096 blocks but only a handful of distinct ones.
+The report counts the distinct blocks and the most copies of any one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .matrix import Matrix
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(namedtuple("BlockReport", (
+        "nrows", "ncols", "block_size", "whole_invertible", "block_verdicts",
+        "failing_blocks", "is_block_invertible", "is_block_invertible_square",
+        "distinct_blocks", "max_block_multiplicity"))):
     """Per-block invertibility verdicts for one matrix.
 
     whole_invertible is True/False for square matrices and None when the
     matrix is not square (so "block invertible square" cannot apply).
+    distinct_blocks counts the blocks that differ in content, and
+    max_block_multiplicity is the number of positions holding the most
+    repeated one.
     """
 
-    nrows: int
-    ncols: int
-    block_size: int
-    whole_invertible: bool | None
-    block_verdicts: tuple[tuple[bool, ...], ...]
-    failing_blocks: tuple[tuple[int, int], ...]
-    is_block_invertible: bool
-    is_block_invertible_square: bool
+    __slots__ = ()
 
 
 def verify_blocks(m: Matrix, p: int) -> BlockReport:
     """Check every p x p block of m, and m itself when square."""
     m._check_block_size(p)
 
+    seen = {}  # block rows -> [verdict, positions holding that block]
     verdicts = []
     failing = []
     for i in range(m.nrows // p):
@@ -45,7 +51,12 @@ def verify_blocks(m: Matrix, p: int) -> BlockReport:
         row = []
         for j in range(m.ncols // p):
             block = tuple(r[j * p:(j + 1) * p] for r in strip)
-            ok = Matrix._new(m.field, block).rank() == p
+            memo = seen.get(block)
+            if memo is None:
+                memo = seen[block] = [
+                    Matrix._new(m.field, block).rank() == p, 0]
+            memo[1] += 1
+            ok = memo[0]
             row.append(ok)
             if not ok:
                 failing.append((i, j))
@@ -63,6 +74,8 @@ def verify_blocks(m: Matrix, p: int) -> BlockReport:
         failing_blocks=tuple(failing),
         is_block_invertible=all_blocks,
         is_block_invertible_square=all_blocks and whole is True,
+        distinct_blocks=len(seen),
+        max_block_multiplicity=max(copies for _, copies in seen.values()),
     )
 
 
@@ -102,6 +115,8 @@ def report_as_dict(rep: BlockReport) -> dict:
         "failing_blocks": [list(b) for b in rep.failing_blocks],
         "is_block_invertible": rep.is_block_invertible,
         "is_block_invertible_square": rep.is_block_invertible_square,
+        "distinct_blocks": rep.distinct_blocks,
+        "max_block_multiplicity": rep.max_block_multiplicity,
     }
 
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,41 @@ def test_verify_quiet_and_json(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert code == 0
     assert json.loads(out)["is_block_invertible_square"] is True
+
+
+OLD_REPORT_KEYS = ["rows", "cols", "block_size", "whole_invertible",
+                   "block_verdicts", "failing_blocks", "is_block_invertible",
+                   "is_block_invertible_square"]
+
+
+@pytest.mark.parametrize("source", ["generated", "random"])
+def test_verify_json_block_statistics(tmp_path, capsys, source):
+    path = tmp_path / "m.bim"
+    if source == "generated":
+        assert run(capsys, "generate", "--n", "64", "--p", "4", "--field",
+                   "gf(2^8)", "--out", str(path))[0] == 0
+    else:
+        rnd = random.Random(3)
+        path.write_text(dump_text(Matrix(prime_field(65521), [
+            [rnd.randrange(65521) for _ in range(64)] for _ in range(64)]), 4))
+    m, _ = load(path.read_text())
+    copies = Counter(m.block(4, i, j) for i in range(16) for j in range(16))
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    obj = json.loads(out)
+    assert list(obj) == OLD_REPORT_KEYS + ["distinct_blocks",
+                                           "max_block_multiplicity"]
+    assert obj["distinct_blocks"] == len(copies)
+    assert obj["max_block_multiplicity"] == max(copies.values())
+    if source == "generated":
+        assert code == 0 and obj["distinct_blocks"] < 8
+    else:
+        assert obj["distinct_blocks"] == 256
+        assert obj["max_block_multiplicity"] == 1
+    # the keys verify reported before are unchanged, byte for byte
+    old = json.dumps({k: obj[k] for k in OLD_REPORT_KEYS})
+    assert out.startswith(old[:-1] + ", ")
+    code, text, _ = run(capsys, "verify", str(path))
+    assert "distinct" not in text and "multiplicity" not in text
 
 
 def test_verify_missing_file_exit_1(tmp_path, capsys):

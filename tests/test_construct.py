@@ -182,6 +182,40 @@ def test_extend_rejects_exactly_what_verify_blocks_rejects(field):
                         "blocks fail"}
 
 
+def _with_blocks(m, p, block, positions):
+    rows = m.to_lists()
+    for i, j in positions:
+        for r in range(p):
+            rows[i * p + r][j * p:(j + 1) * p] = block[r]
+    return Matrix(m.field, rows)
+
+
+@pytest.mark.parametrize("field", [GF3, GF5], ids=str)
+def test_extend_names_first_copy_of_a_repeated_singular_block(field):
+    # the same singular block at four positions: the message names the
+    # first of them in row-major order, as when each block is ranked
+    s = [[1, 2], [field.mul(2, 1), field.mul(2, 2)]]
+    positions = [(3, 0), (1, 3), (3, 3), (2, 1)]
+    named = 0
+    for seed in range(40):
+        m = _with_blocks(generate(GeneratorConfig(n=8, p=2, field=field,
+                                                  seed=seed)),
+                         2, s, positions)
+        if not m.is_invertible():
+            continue
+        named += 1
+        with pytest.raises(NotBlockInvertibleError,
+                           match=r"^input block \(1, 3\) is singular$"):
+            extend(m, 2)
+    assert named >= 5
+    # across a whole block-row the copies make the matrix singular too
+    m = _with_blocks(generate(GeneratorConfig(n=8, p=2, field=field)), 2, s,
+                     [(2, j) for j in range(4)])
+    with pytest.raises(NotBlockInvertibleError,
+                       match="^input matrix is singular$"):
+        extend(m, 2)
+
+
 def test_extend_strip_choices():
     base = generate(GeneratorConfig(n=6, p=2, field=GF5, seed=11))
     first = extend(base, 2, StripChoice.FIRST)

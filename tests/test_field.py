@@ -250,8 +250,9 @@ def test_notation_round_trip():
 
 
 def test_parse_is_case_insensitive():
+    # in the gf prefix only: the mask is spelled as str() writes it
     assert parse_field("GF(5)") == GF5
-    assert parse_field("Gf(2^8;0X11B)") == GF256
+    assert parse_field("Gf(2^8;0x11b)") == GF256
 
 
 def test_parse_default_modulus():
@@ -264,7 +265,9 @@ def test_parse_rejects_junk():
                 f"gf({huge})", "gf(" + "0" * 4999 + "2)", f"gf(2^{huge})",
                 f"gf(2^{huge};0x11b)", "gf(\u0663)", "gf(2^\u0668)",
                 "gf(2^\uff18)", "gf(007)", "gf(00)", "gf(2^08)",
-                "gf(2^08;0x11b)"):
+                "gf(2^08;0x11b)", "gf(2^8;0x011b)", "gf(2^8;0x11B)",
+                "GF(2^8;0X011B)", "Gf(2^8;0X11B)", "gf(2^8;0x)",
+                "gf(2^8;0x\uff11\uff11b)"):
         with pytest.raises(FieldError):
             parse_field(bad)
 

@@ -12,13 +12,22 @@ a field's operations once, so no operation tests the kind per call.
 
 The runtime is stdlib-only: no module of the package imports anything
 outside the standard library.
+
+A `verify` run loads only the modules it runs: the generators, and
+`dataclasses` with the `inspect` machinery it pulls in, stay unimported,
+while the package still resolves every public name on first use.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import blockinv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blockinv"
 
@@ -147,3 +156,47 @@ def test_stdlib_guard_allows_stdlib_and_relative_imports():
                               "import json, os.path\n"
                               "from .field import FieldSpec\n"
                               "from . import matrixfile", "cli.py") == []
+
+
+VERIFY_MODULES = {"blockinv", "blockinv.cli", "blockinv.matrixfile",
+                  "blockinv.field", "blockinv.matrix", "blockinv.verify"}
+NOT_FOR_VERIFY = {"blockinv.construct", "blockinv.decompose", "blockinv.rng",
+                  "dataclasses"}
+
+#: Runs `python -m blockinv verify FILE`, then reports the loaded modules.
+RUN_VERIFY = """
+import json, runpy, sys
+sys.argv = ["blockinv", "verify", sys.argv[1]]
+try:
+    runpy.run_module("blockinv", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    print(json.dumps([e.code, sorted(sys.modules)]))
+"""
+
+
+def test_verify_process_imports_only_what_it_runs(tmp_path):
+    path = tmp_path / "m.bim"
+    path.write_text("bim v1\ngf(2^8;0x11b)\n4 4 2\n193 103 193 103\n"
+                    "94 11 94 11\n193 103 166 193\n94 11 85 94\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", RUN_VERIFY, str(path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    loaded = {m for m in modules if m.startswith("blockinv.")} | {"blockinv"}
+    assert loaded <= VERIFY_MODULES | {"blockinv.__main__"}
+    assert VERIFY_MODULES <= set(modules)
+    assert NOT_FOR_VERIFY.isdisjoint(modules)
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from blockinv import *", namespace)
+    assert set(blockinv.__all__) <= namespace.keys()
+    for name in blockinv.__all__:
+        assert getattr(blockinv, name) is namespace[name]
+    from blockinv.matrix import Matrix
+    assert blockinv.Matrix is Matrix
+    with pytest.raises(AttributeError):
+        blockinv.no_such_name

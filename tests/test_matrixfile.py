@@ -1,6 +1,7 @@
 """Matrix file round trips and malformed-input handling."""
 
 import enum
+import itertools
 import json
 import random
 
@@ -8,7 +9,7 @@ import pytest
 
 from blockinv.field import binary_field, parse_field, prime_field
 from blockinv.matrix import Matrix
-from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, dump,
+from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints, dump,
                                  dump_json, dump_text, load)
 
 GF2 = prime_field(2)
@@ -108,6 +109,37 @@ def test_unknown_dump_format():
 def test_malformed_text_rejected(text):
     with pytest.raises(MatrixFileError):
         load(text)
+
+
+TOKENS = ["0", "7", "-7", "10", "-10", "65520", "007", "00", "-0", "-00",
+          "+1", "1_0", "-", "--1", "1-", "x", "0x1", "1e3", "\u0661",
+          "\uff11", "1\u0663", "9" * 5000]
+#: str.isspace() characters, a run of them, and characters that are not
+SEPARATORS = ([chr(c) for c in range(0x3001) if chr(c).isspace()]
+              + [" \t\u3000", "\u200b", "\ufeff", "\u180e", ",", ""])
+EDGES = [("", ""), (" ", "\n"), ("\u3000", "\x85")]
+
+
+def per_token_rule(line):
+    """Accept a line exactly when every token is str() of its int."""
+    tokens = line.split()
+    try:
+        return all(str(int(t)) == t for t in tokens)
+    except ValueError:
+        return False
+
+
+def test_line_spelling_check_matches_per_token_rule():
+    for a, b in itertools.product(TOKENS, repeat=2):
+        for sep in SEPARATORS:
+            for lead, trail in EDGES:
+                line = f"{lead}{a}{sep}{b}{trail}"
+                if per_token_rule(line):
+                    assert _ints(line, "entry in row") == list(
+                        map(int, line.split())), repr(line)
+                else:
+                    with pytest.raises(MatrixFileError):
+                        _ints(line, "entry in row")
 
 
 @pytest.mark.parametrize("mutate", [

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError
 from blockinv.verify import (render_report, render_report_json,
                              report_as_dict, verify_blocks)
+from oracles import scalar_rref
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -116,3 +118,66 @@ def test_render_json_mirrors_report():
     strip = m.block_row(2, 0)
     assert json.loads(render_report_json(verify_blocks(strip, 2)))[
         "whole_invertible"] is None
+
+
+def palette_matrix(field, p, kr, kc, rnd):
+    """A kr x kc grid of p x p blocks drawn from two invertible and two
+    singular blocks, so each verdict recurs at many positions. Returns
+    the matrix and the grid of block rows."""
+    def draw(invertible):
+        while True:
+            rows = [tuple(rnd.randrange(field.order) for _ in range(p))
+                    for _ in range(p)]
+            if not invertible:  # last row a multiple of the first
+                c = rnd.randrange(field.order)
+                rows[-1] = tuple(field.mul(c, x) for x in rows[0])
+            if (len(scalar_rref(rows, field)[1]) == p) == invertible:
+                return tuple(rows)
+    palette = [draw(True), draw(True), draw(False), draw(False)]
+    grid = [[rnd.choice(palette) for _ in range(kc)] for _ in range(kr)]
+    rows = [sum((b[r] for b in grow), ()) for grow in grid for r in range(p)]
+    return Matrix(field, rows), grid
+
+
+@pytest.mark.parametrize("field,p", [(GF2, 2), (GF3, 3), (GF16, 2),
+                                     (prime_field(65521), 3)], ids=str)
+@pytest.mark.parametrize("kr,kc", [(6, 6), (4, 7)])
+def test_repeated_blocks_match_per_block_oracle(field, p, kr, kc):
+    rnd = random.Random(field.order * 100 + kr * 10 + kc)
+    for _ in range(5):
+        m, grid = palette_matrix(field, p, kr, kc, rnd)
+        oracle = [[len(scalar_rref(b, field)[1]) == p for b in grow]
+                  for grow in grid]
+        rep = verify_blocks(m, p)
+        assert rep.block_verdicts == tuple(map(tuple, oracle))
+        assert rep.failing_blocks == tuple(
+            (i, j) for i in range(kr) for j in range(kc) if not oracle[i][j])
+        copies = Counter(b for grow in grid for b in grow)
+        assert rep.distinct_blocks == len(copies)
+        assert rep.max_block_multiplicity == max(copies.values())
+        if m.is_square:
+            assert rep.whole_invertible == invertible_by_inverse(m)
+
+
+@pytest.mark.parametrize("m,p", [
+    (generate(GeneratorConfig(n=32, p=4, field=binary_field(8), seed=3)), 4),
+    (generate(GeneratorConfig(n=24, p=3, field=GF3, seed=8)), 3),
+    (palette_matrix(GF2, 2, 6, 6, random.Random(1))[0], 2),
+    (palette_matrix(GF3, 2, 3, 5, random.Random(2))[0], 2),
+    (Matrix.identity(GF2, 8), 2),
+], ids=["gf256-generated", "gf3-generated", "gf2-palette", "gf3-strip",
+        "identity"])
+def test_each_distinct_block_is_ranked_once(monkeypatch, m, p):
+    ranked = []
+    rank = Matrix.rank
+
+    def counted(self):
+        ranked.append(self.nrows)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    rep = verify_blocks(m, p)
+    assert ranked.count(p) == rep.distinct_blocks
+    assert len(ranked) == rep.distinct_blocks + m.is_square
+    assert rep.distinct_blocks < (m.nrows // p) * (m.ncols // p)
+
