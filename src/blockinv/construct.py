@@ -40,7 +40,7 @@ all-nonzero A to use (notably GF(2)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from . import DEFAULT_SEED, StripChoice
@@ -61,17 +61,19 @@ def _check_min_block_size(p: int) -> None:
         raise ValueError("block size p must be at least 2")
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Parameters for one deterministic generation run."""
+class GeneratorConfig(namedtuple("GeneratorConfig",
+                                 ("n", "p", "field", "seed", "strip"),
+                                 defaults=(DEFAULT_SEED, StripChoice.FIRST))):
+    """Parameters for one deterministic generation run.
 
-    n: int
-    p: int
-    field: FieldSpec
-    seed: int = DEFAULT_SEED
-    strip: StripChoice = StripChoice.FIRST
+    `__new__` validates them, and `_make`, which `_replace` builds
+    through, calls the constructor, so no way of building one skips it.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_min_block_size(self.p)
         n, p = _clip(str(self.n)), _clip(str(self.p))
         # with n positive, p | n also gives n >= p
@@ -79,6 +81,11 @@ class GeneratorConfig:
             raise ValueError(f"n={n} must be positive")
         if self.n % self.p:
             raise ValueError(f"p={p} must divide n={n}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
@@ -268,8 +275,8 @@ def _is_prime_power(q: int) -> bool:
 EXHAUSTIVE_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class KroneckerResult:
+class KroneckerResult(namedtuple("KroneckerResult", (
+        "matrix", "factor_a", "factor_b", "exhaustive", "trials"))):
     """Outcome of the Kronecker-product construction attempt.
 
     matrix is the (p^2, p) block invertible square matrix A (x) B on
@@ -278,11 +285,7 @@ class KroneckerResult:
     an inconclusive capped random search.
     """
 
-    matrix: Matrix | None
-    factor_a: Matrix | None
-    factor_b: Matrix | None
-    exhaustive: bool
-    trials: int
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

@@ -1,30 +1,38 @@
 """Rank decomposition of a square matrix through its rank normal form.
 
 For any square S over a field there are invertible L and R with
-S = L @ diag(I_r, 0) @ R where r = rank(S). This module computes one
-such pair from a single reduction of [S | I]: it brings S to reduced
-row-echelon form E and leaves P with P @ S = E in the right half. Then
-L = P^-1, and R is E's r nonzero rows followed by the unit rows e_j of
-the non-pivot columns j in increasing order, so diag(I_r, 0) @ R = E.
-R is invertible: with its pivot columns moved to the front it is unit
-upper triangular. Identical input yields bit-identical output.
+S = L @ diag(I_r, 0) @ R where r = rank(S). This module reads one such
+pair off the single reduction of [S | I] to [E | P] that
+`matrix._gauss_jordan` runs: E is the reduced row-echelon form of S and
+P @ S = E.
+
+R is E's r nonzero rows followed by the unit rows e_j of the non-pivot
+columns j in increasing order, so diag(I_r, 0) @ R = E. R is invertible:
+with its pivot columns moved to the front it is unit upper triangular.
+
+L is P^-1, read off without inverting P: P @ [S | I] = [E | P] gives
+L @ [E | P] = [S | I], so wherever a column of [E | P] is the unit
+column e_k, column k of L is the column of [S | I] in that place. For
+k < r that is E's k-th pivot column. For k >= r it is a column of P:
+the row that elimination leaves at position k is never scaled and never
+used to update another row, so the column of P that started as its unit
+column is still e_k. When S is invertible this gives L = S and R = I.
+Identical input yields bit-identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import FieldSpec
-from .matrix import Matrix, _augmented, _row_reduce
+from .matrix import Matrix, _gauss_jordan
 
 
-@dataclass(frozen=True)
-class RankDecomposition:
+class RankDecomposition(namedtuple("RankDecomposition",
+                                   ("left", "right", "rank"))):
     """Invertible pair (left, right) with S = left @ diag(I_r, 0) @ right."""
 
-    left: Matrix
-    right: Matrix
-    rank: int
+    __slots__ = ()
 
 
 def rank_normal_form(field: FieldSpec, n: int, r: int) -> Matrix:
@@ -47,11 +55,12 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
         raise ValueError(f"cannot decompose {s.nrows}x{s.ncols} matrix")
     n, f = s.nrows, s.field
 
-    rows = _augmented(s)
-    pivots = _row_reduce(rows, f, n)
-    rows = [tuple(f.unpack(row, 2 * n)) for row in rows]
-    units = tuple(tuple(1 if i == j else 0 for i in range(n))
-                  for j in sorted(set(range(n)) - set(pivots)))
-    left = Matrix._new(f, tuple(row[n:] for row in rows)).inverse()
-    right = tuple(row[:n] for row in rows[:len(pivots)]) + units
-    return RankDecomposition(left, Matrix._new(f, right), len(pivots))
+    rows, pivots = _gauss_jordan(s)
+    eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    # column k of left: the column of [S | I] under the first e_k in [E | P]
+    reduced, source = list(zip(*rows)), list(zip(*s._rows)) + eye
+    left = tuple(zip(*(source[reduced.index(e)] for e in eye)))
+    right = tuple(row[:n] for row in rows[:len(pivots)]) + tuple(
+        eye[j] for j in range(n) if j not in pivots)
+    return RankDecomposition(Matrix._new(f, left), Matrix._new(f, right),
+                             len(pivots))

@@ -259,6 +259,15 @@ class FieldSpec:
                     f"code {_clip(str(code))} out of range for {self}")
 
 
+def _slot_packer(code: str):
+    """`pack` for rows of equal little-endian slots, slot j for column j,
+    each slot in the struct format `code`."""
+    def pack(codes):
+        return int.from_bytes(struct.pack(f"<{len(codes)}{code}", *codes),
+                              "little")
+    return pack
+
+
 def _arithmetic(field: FieldSpec) -> dict:
     """The operations of `field` by name, one arm per kind.
 
@@ -328,9 +337,7 @@ def _arithmetic(field: FieldSpec) -> dict:
                 raise ZeroDivisionError(no_inverse)
             return pow(a, p - 2, p)
 
-        def pack(codes):
-            return int.from_bytes(struct.pack(f"<{len(codes)}Q", *codes),
-                                  "little")
+        pack = _slot_packer("Q")
 
         def unpack(row, n):
             return [x % p for x in
@@ -415,11 +422,7 @@ def _arithmetic(field: FieldSpec) -> dict:
             hi = row & top
         return row
 
-    def pack(codes):
-        row = 0
-        for x in reversed(codes):
-            row = row << w | x
-        return row
+    pack = _slot_packer(code)
 
     def unpack(row, n):
         return list(struct.unpack(f"<{n}{code}",

@@ -15,14 +15,15 @@ and unpacks once per output row, and the Kronecker product scales rows.
 
 Elimination is one forward pass, `_echelon`: it normalises each pivot
 row with scale and eliminates with axpy below the pivot only. `rank()`
-runs that pass alone. Inversion and the rank decomposition reduce
-[A | I] with `_row_reduce`, which adds a back-substitution pass clearing
-above each pivot, and read the left transform off the right half; the
-reduced row-echelon form is unique, so this gives the same integers as a
-Gauss-Jordan sweep. Pivoting picks the first nonzero entry scanning down
-each column, columns left to right; exact arithmetic needs no
-magnitude-based pivot strategy, and the fixed scan order makes every
-result bit-reproducible.
+runs that pass alone. `_gauss_jordan` owns the one reduction of [A | I]
+to [E | P], with P @ A = E: `_row_reduce` adds a back-substitution pass
+clearing above each pivot, and the reduced row-echelon form is unique,
+so this gives the same integers as a Gauss-Jordan sweep. Inversion reads
+P off the right half; the rank decomposition (decompose.py) reads both
+of its factors off [E | P] without a second elimination. Pivoting
+picks the first nonzero entry scanning down each column, columns left
+to right; exact arithmetic needs no magnitude-based pivot strategy, and
+the fixed scan order makes every result bit-reproducible.
 """
 
 from __future__ import annotations
@@ -93,11 +94,18 @@ def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
     return pivots
 
 
-def _augmented(m: "Matrix") -> list:
-    """The packed rows of [M | I]."""
-    pack, n = m.field.pack, m.nrows
-    return [pack(row + tuple(1 if i == j else 0 for j in range(n)))
+def _gauss_jordan(m: "Matrix") -> tuple[list[tuple], list[int]]:
+    """Reduce [M | I] for a square M to [E | P], with P @ M = E.
+
+    E is the reduced row-echelon form of M, so P = M^-1 when M is
+    invertible. Returns the rows of [E | P] as tuples of 2n codes, and
+    E's pivot columns.
+    """
+    f, n = m.field, m.nrows
+    rows = [f.pack(row + tuple(1 if i == j else 0 for j in range(n)))
             for i, row in enumerate(m._rows)]
+    pivots = _row_reduce(rows, f, n)
+    return [tuple(f.unpack(row, 2 * n)) for row in rows], pivots
 
 
 class Matrix:
@@ -221,13 +229,12 @@ class Matrix:
         """Gauss-Jordan inverse; raises SingularMatrixError if none exists."""
         if not self.is_square:
             raise ValueError(f"cannot invert {self.nrows}x{self.ncols} matrix")
-        n, unpack = self.nrows, self.field.unpack
-        rows = _augmented(self)
-        if len(_row_reduce(rows, self.field, n)) != n:
+        n = self.nrows
+        rows, pivots = _gauss_jordan(self)
+        if len(pivots) != n:
             raise SingularMatrixError(
                 f"{n}x{n} matrix over {self.field} is singular")
-        return Matrix._new(self.field, tuple(tuple(unpack(r, 2 * n)[n:])
-                                             for r in rows))
+        return Matrix._new(self.field, tuple(row[n:] for row in rows))
 
     def is_invertible(self) -> bool:
         return self.is_square and self.rank() == self.nrows

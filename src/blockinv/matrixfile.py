@@ -121,12 +121,24 @@ def _ints(line: str, what: str) -> list[int]:
     raise MatrixFileError(f"non-integer {what} {_clip(repr(line))}")
 
 
+def _json_int(token: str) -> int:
+    """A JSON integer literal in its one spelling: json.loads reads -0,
+    which no writer emits, as 0."""
+    if token == "-0":
+        raise MatrixFileError("non-integer number -0")
+    return int(token)
+
+
 def _load_json(text: str) -> tuple[Matrix, int]:
     try:
         obj = json.loads(text)
+        if "-0" in text:
+            # a hook on every int would slow every load, so only a text
+            # that may hold -0 is parsed again with it
+            obj = json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal over the int-conversion
-        # limit, or nesting deeper than the decoder's recursion limit
+        # limit, nesting deeper than the decoder's recursion limit, or -0
         raise MatrixFileError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("format") != "bim":
         raise MatrixFileError("not a bim matrix object")

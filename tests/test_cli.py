@@ -270,6 +270,10 @@ DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
     ("bim v1\ngf(007)\n1 1 1\n1\n", "field"),
     ("bim v1\ngf(2)\n-1 1 1\n1\n", "bad dimensions"),
     ("bim v1\ngf(2)\n1 1 -1\n1\n", "bad block size"),
+    (_bim_json(rows=2, cols=2, p=2,
+               data=[[1, 0], [0, 1]]).replace("0]", "-0]"),
+     "non-integer number -0"),
+    (_bim_json(p=1).replace('"p": 1', '"p": -0'), "non-integer number -0"),
 ], ids=["magic", "header", "header-token", "field", "json-version",
         "binary-degree", "prime", "rows", "cols", "negative-rows",
         "negative-p", "file-p", "json-rows", "data-token", "data-code",
@@ -277,7 +281,8 @@ DIGITS = "9" * 4000  # under the int-conversion limit, so it parses
         "data-arabic-digit", "header-plus", "field-arabic-digit",
         "json-version-true", "json-version-float", "json-array",
         "data-minus-zero", "data-leading-zero", "header-leading-zero",
-        "field-leading-zero", "header-minus-rows", "header-minus-p"])
+        "field-leading-zero", "header-minus-rows", "header-minus-p",
+        "json-data-minus-zero", "json-header-minus-zero"])
 def test_verify_bounds_echoed_input(tmp_path, capsys, content, word):
     path = tmp_path / "bad.bim"
     path.write_text(content)

@@ -324,6 +324,32 @@ def test_generate_golden_bytes(n, p, field, seed, strip, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, p, field, strip, order, distinct", [
+    (64, 8, GF2, StripChoice.FIRST, 3, 2),
+    (32, 4, GF256, StripChoice.RANDOM, 3, 3),
+    (16, 2, GF3, StripChoice.LAST, 4, 4),
+    (32, 4, prime_field(65521), StripChoice.RANDOM, 8190, 3),
+], ids=["gf2-first", "gf256-random", "gf3-last", "gf65521-random"])
+def test_every_block_is_the_seed_block_times_a_power_of_c(
+        n, p, field, strip, order, distinct):
+    # The defect S is a block of M, so it has full rank, left = S and
+    # right = I: W = S @ A and the corner is S @ C for C = I + A with A
+    # the (p, p) perturbation matrix. Every block is then B @ C^e, for
+    # B the seed block (0, 0) and 0 <= e < ord(C): a known limitation.
+    m = generate(GeneratorConfig(n=n, p=p, field=field, strip=strip))
+    b = m.block(p, 0, 0)
+    eye = Matrix.identity(field, p)
+    c = eye + perturbation_matrix(p, p, field)
+    closed_form, power = {b}, c
+    while power != eye:
+        closed_form.add(b @ power)
+        power = power @ c
+    assert len(closed_form) == order
+    blocks = {m.block(p, i, j) for i in range(n // p) for j in range(n // p)}
+    assert blocks <= closed_form
+    assert len(blocks) == distinct
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(n=7, p=2, field=GF2)
@@ -334,6 +360,18 @@ def test_config_validation():
     for n in (0, -4):
         with pytest.raises(ValueError, match=f"n={n} must be positive"):
             GeneratorConfig(n=n, p=2, field=GF2)
+
+
+def test_config_validates_every_way_it_is_built():
+    cfg = GeneratorConfig(n=8, p=2, field=GF3, seed=5)
+    assert cfg.seed == 5 and cfg.strip is StripChoice.FIRST
+    assert cfg._replace(n=12) == GeneratorConfig(12, 2, GF3, 5)
+    with pytest.raises(ValueError, match="p=2 must divide n=7"):
+        cfg._replace(n=7)
+    with pytest.raises(ValueError, match="must be at least 2"):
+        GeneratorConfig._make((8, 1, GF3, 5, StripChoice.FIRST))
+    with pytest.raises(AttributeError):
+        cfg.n = 4
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from blockinv.decompose import (RankDecomposition, rank_decompose,
                                 rank_normal_form)
 from blockinv.field import binary_field, prime_field
-from blockinv.matrix import Matrix
+from blockinv.matrix import Matrix, _gauss_jordan
 
 from oracles import decomposition_check, scalar_rref
 
@@ -110,6 +110,29 @@ def test_thousand_random_decompositions():
         d = rank_decompose(s)
         assert decomposition_check(s, d), f"failed at sample {i}"
         assert d.rank == s.rank()
+
+
+def test_left_is_read_off_the_one_reduction(monkeypatch):
+    # rank_decompose inverts nothing, yet its left factor is P^-1 for the
+    # P that reducing [S | I] leaves, bit for bit; an invertible S comes
+    # out as left = S, right = I
+    def refuse(self):
+        raise AssertionError("rank_decompose inverted a matrix")
+
+    rnd = random.Random(11)
+    samples = [random_square((GF2, GF3, GF5, GF16)[i % 4],
+                             rnd.randrange(1, 9), rnd) for i in range(400)]
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    found = [rank_decompose(s) for s in samples]
+    monkeypatch.undo()
+    for s, d in zip(samples, found):
+        n = s.nrows
+        assert decomposition_check(s, d)
+        rows, _ = _gauss_jordan(s)
+        assert d.left == Matrix(s.field, [row[n:] for row in rows]).inverse()
+        if d.rank == n:
+            assert (d.left, d.right) == (s, Matrix.identity(s.field, n))
+    assert {d.rank < s.nrows for s, d in zip(samples, found)} == {False, True}
 
 
 def test_determinism():

@@ -93,6 +93,19 @@ def _check_row_ops(field, coeffs, xs, ys):
             _check_row_ops(field, coeffs, xs[i:i + 7], ys[i:i + 7])
 
 
+@pytest.mark.parametrize("field, width", [
+    (prime_field(2), 1), (binary_field(1), 1), (prime_field(3), 64),
+    (prime_field(65521), 64), (binary_field(2), 8), (binary_field(4), 8),
+    (binary_field(5), 16), (binary_field(8), 16), (binary_field(9), 32),
+    (binary_field(16), 32)], ids=str)
+def test_pack_lays_entry_j_in_slot_j(field, width):
+    rng = SplitMix64(width)
+    for n in (1, 7, 65):
+        codes = [rng.below(field.order) for _ in range(n)]
+        assert field.pack(codes) == sum(x << (width * j)
+                                        for j, x in enumerate(codes))
+
+
 @pytest.mark.parametrize("field", [prime_field(2), prime_field(5),
                                    binary_field(4), binary_field(2),
                                    binary_field(5)], ids=str)

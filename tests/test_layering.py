@@ -15,7 +15,9 @@ outside the standard library.
 
 A `verify` run loads only the modules it runs: the generators, and
 `dataclasses` with the `inspect` machinery it pulls in, stay unimported,
-while the package still resolves every public name on first use.
+while the package still resolves every public name on first use. A
+`generate` run loads the generators but neither `dataclasses` nor
+`inspect`: every record type is a namedtuple.
 """
 
 import ast
@@ -160,13 +162,14 @@ def test_stdlib_guard_allows_stdlib_and_relative_imports():
 
 VERIFY_MODULES = {"blockinv", "blockinv.cli", "blockinv.matrixfile",
                   "blockinv.field", "blockinv.matrix", "blockinv.verify"}
-NOT_FOR_VERIFY = {"blockinv.construct", "blockinv.decompose", "blockinv.rng",
-                  "dataclasses"}
+GENERATORS = {"blockinv.construct", "blockinv.decompose", "blockinv.rng"}
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
-#: Runs `python -m blockinv verify FILE`, then reports the loaded modules.
-RUN_VERIFY = """
+#: Runs `python -m blockinv ARGS...`, then reports the exit code and the
+#: loaded modules.
+RUN_CLI = """
 import json, runpy, sys
-sys.argv = ["blockinv", "verify", sys.argv[1]]
+sys.argv = ["blockinv", *sys.argv[1:]]
 try:
     runpy.run_module("blockinv", run_name="__main__", alter_sys=True)
 except SystemExit as e:
@@ -174,20 +177,35 @@ except SystemExit as e:
 """
 
 
+def cli_modules(*args: str) -> tuple[int, set[str]]:
+    """Exit code and loaded modules of one `python -m blockinv` process."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
 def test_verify_process_imports_only_what_it_runs(tmp_path):
     path = tmp_path / "m.bim"
     path.write_text("bim v1\ngf(2^8;0x11b)\n4 4 2\n193 103 193 103\n"
                     "94 11 94 11\n193 103 166 193\n94 11 85 94\n")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", RUN_VERIFY, str(path)],
-                          capture_output=True, text=True, env=env,
-                          timeout=60, check=True)
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    code, modules = cli_modules("verify", str(path))
     assert code == 0
     loaded = {m for m in modules if m.startswith("blockinv.")} | {"blockinv"}
     assert loaded <= VERIFY_MODULES | {"blockinv.__main__"}
-    assert VERIFY_MODULES <= set(modules)
-    assert NOT_FOR_VERIFY.isdisjoint(modules)
+    assert VERIFY_MODULES <= modules
+    assert (GENERATORS | RECORD_MACHINERY).isdisjoint(modules)
+
+
+def test_generate_process_imports_no_record_machinery(tmp_path):
+    code, modules = cli_modules("generate", "--n", "8", "--p", "2",
+                                "--field", "gf(2)",
+                                "--out", str(tmp_path / "m.bim"))
+    assert code == 0
+    assert VERIFY_MODULES | GENERATORS <= modules
+    assert RECORD_MACHINERY.isdisjoint(modules)
 
 
 def test_every_public_name_resolves():

@@ -183,6 +183,19 @@ def test_int_subclass_code_accepted():
     assert Matrix(GF7, [[Code.ONE]]) == Matrix(GF7, [[1]])
 
 
+def test_json_minus_zero_rejected():
+    # json.loads reads -0 as 0; a file spells zero one way, as in text
+    text = dump_json(Matrix(GF2, [[1, 0], [0, 1]]), 1)
+    for bad in (text.replace("[1, 0]", "[1, -0]"),
+                text.replace('"p": 1', '"p": -0')):
+        with pytest.raises(MatrixFileError, match="non-integer number -0"):
+            load(bad)
+    # -0 in a string, and -0.0, take the usual paths
+    assert load(text.replace("{", '{"note": "-0", ', 1))[0] == load(text)[0]
+    with pytest.raises(MatrixFileError, match="must be an int"):
+        load(text.replace("[1, 0]", "[1, -0.0]"))
+
+
 def test_invalid_json_text():
     with pytest.raises(MatrixFileError):
         load("{not json")
