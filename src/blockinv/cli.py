@@ -85,8 +85,7 @@ def cmd_generate(args) -> int:
     try:
         fld = parse_field(args.field)
         config = GeneratorConfig(n=args.n, p=args.p, field=fld,
-                                 seed=args.seed,
-                                 strip=StripChoice(args.strip))
+                                 seed=args.seed, strip=args.strip)
     except ValueError as e:  # covers FieldError and config validation
         _err(str(e))
         return 2
@@ -196,24 +195,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate",
+    # options shared by the subcommands that write a seeded matrix
+    writer = argparse.ArgumentParser(add_help=False)
+    writer.add_argument("--field", required=True,
+                        help="field notation, e.g. 'gf(2)' or "
+                             "'gf(2^8;0x11b)'")
+    writer.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                        help=f"64-bit RNG seed (default 0x{DEFAULT_SEED:X})")
+    writer.add_argument("--out", default=None,
+                        help="output path (default stdout)")
+    # type=_clip on a choices option: argparse quotes a rejected choice
+    # after conversion, so an over-long one is quoted clipped
+    writer.add_argument("--format", dest="fmt", type=_clip,
+                        choices=matrixfile.FORMATS, default=matrixfile.TEXT)
+
+    g = sub.add_parser("generate", parents=[writer],
                        help="build an (n, p) block invertible square matrix")
     g.add_argument("--n", type=_int, required=True, help="matrix dimension")
     g.add_argument("--p", type=_int, required=True, help="block size (>= 2)")
-    g.add_argument("--field", required=True,
-                   help="field notation, e.g. 'gf(2)' or 'gf(2^8;0x11b)'")
-    g.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
-                   help=f"64-bit RNG seed (default 0x{DEFAULT_SEED:X})")
-    # type=_clip on a choices option: argparse quotes a rejected choice
-    # after conversion, so an over-long one is quoted clipped
     g.add_argument("--strip", type=_clip,
                    choices=[c.value for c in StripChoice],
                    default="first",
                    help="which block row/column borders each step")
-    g.add_argument("--out", default=None, help="output path (default stdout)")
-    g.add_argument("--format", dest="fmt", type=_clip,
-                   choices=matrixfile.FORMATS,
-                   default=matrixfile.TEXT)
     g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("verify", help="check a matrix file block by block")
@@ -231,18 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=_int, required=True, help="field order (prime power)")
     c.set_defaults(func=cmd_count)
 
-    k = sub.add_parser("kron",
+    k = sub.add_parser("kron", parents=[writer],
                        help="Kronecker-product construction attempt")
     k.add_argument("--p", type=_int, required=True,
                    help=f"block size, 2..{KRON_MAX_P}")
-    k.add_argument("--field", required=True)
-    k.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     k.add_argument("--max-trials", type=_trials, default=1000,
                    help="random search cap for large fields")
-    k.add_argument("--out", default=None)
-    k.add_argument("--format", dest="fmt", type=_clip,
-                   choices=matrixfile.FORMATS,
-                   default=matrixfile.TEXT)
     k.set_defaults(func=cmd_kron)
 
     return parser

@@ -35,6 +35,12 @@ Works over any supported field; the classical alternative, the Kronecker
 product of an all-nonzero invertible A with an invertible B, is provided
 for contrast together with a search that demonstrates where it has no
 all-nonzero A to use (notably GF(2)).
+
+Every random matrix comes from the seeded stream through one map,
+`_draw`: p x p entries row-major, each low + rng.below(order - low).
+The random invertible seed block takes low = 0 and the Kronecker random
+search low = 1 (all-nonzero candidates), so the two documented streams
+are one function.
 """
 
 from __future__ import annotations
@@ -66,22 +72,27 @@ class GeneratorConfig(namedtuple("GeneratorConfig",
                                  defaults=(DEFAULT_SEED, StripChoice.FIRST))):
     """Parameters for one deterministic generation run.
 
-    `__new__` validates them, and `_make`, which `_replace` builds
+    `__new__` validates them and coerces `strip` to a StripChoice, so a
+    strip given by its value ("random") means that choice and an unknown
+    one raises ValueError. `_make`, which `_replace` and unpickling build
     through, calls the constructor, so no way of building one skips it.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_min_block_size(self.p)
-        n, p = _clip(str(self.n)), _clip(str(self.p))
+        n, p, field, seed, strip = super().__new__(cls, *args, **kwargs)
+        _check_min_block_size(p)
+        if not isinstance(field, FieldSpec):
+            raise TypeError(f"field must be a FieldSpec, got "
+                            f"{type(field).__name__}")
         # with n positive, p | n also gives n >= p
-        if self.n < 1:
-            raise ValueError(f"n={n} must be positive")
-        if self.n % self.p:
-            raise ValueError(f"p={p} must divide n={n}")
-        return self
+        if n < 1:
+            raise ValueError(f"n={_clip(str(n))} must be positive")
+        if n % p:
+            raise ValueError(
+                f"p={_clip(str(p))} must divide n={_clip(str(n))}")
+        return super().__new__(cls, n, p, field, seed, StripChoice(strip))
 
     @classmethod
     def _make(cls, iterable):
@@ -108,28 +119,20 @@ def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
     if not 0 <= r <= p:
         raise ValueError(f"rank {r} out of range 0..{p}")
 
-    rows = [[0] * p for _ in range(p)]
-
-    def put(tile, at):
-        for i, tr in enumerate(tile):
-            rows[at + i][at:at + len(tr)] = tr
-
-    if r % 2 == 0:
-        for b in range(r // 2):
-            put([[0, 1], [1, 1]], 2 * b)
-        tail = r
-    elif r == 1:
-        put([[1, 1], [1, 0]], 0)
-        tail = 2
+    if r == 1:
+        tiles = [[[1, 1], [1, 0]]]
     else:
-        put([[1, 1, 1], [1, 1, 0], [1, 0, 0]], 0)
-        for b in range((r - 3) // 2):
-            put([[0, 1], [1, 1]], 3 + 2 * b)
-        tail = r
-    for i in range(tail, p):
-        rows[i][i] = 1
-
-    return Matrix._new(field, tuple(tuple(row) for row in rows))
+        tiles = ([[[1, 1, 1], [1, 1, 0], [1, 0, 0]]] * (r % 2)
+                 + [[[0, 1], [1, 1]]] * (r // 2 - r % 2))
+    # the tiles run down the diagonal of I_p, overwriting its leading
+    # entries; the rest of it is the trailing identity
+    rows = [list(row) for row in Matrix.identity(field, p)._rows]
+    at = 0
+    for tile in tiles:
+        for i, tile_row in enumerate(tile):
+            rows[at + i][at:at + len(tile_row)] = tile_row
+        at += len(tile)
+    return Matrix._new(field, tuple(map(tuple, rows)))
 
 
 def corner_completion(s: Matrix) -> tuple[Matrix, Matrix]:
@@ -138,10 +141,8 @@ def corner_completion(s: Matrix) -> tuple[Matrix, Matrix]:
     Factors s through its rank normal form, s = L @ diag(I_r, 0) @ R,
     and sets w = L @ A @ R for the (p, r) perturbation matrix A; then
     s + w = L @ (diag(I_r, 0) + A) @ R, a product of invertible
-    matrices.
+    matrices. `rank_decompose` rejects a non-square s.
     """
-    if not s.is_square:
-        raise ValueError(f"corner defect must be square, got {s.nrows}x{s.ncols}")
     d = rank_decompose(s)
     a = perturbation_matrix(s.nrows, d.rank, s.field)
     w = d.left @ a @ d.right
@@ -155,15 +156,16 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
     `verify_blocks` re-checks the input: a singular matrix, else the
     first singular block in row-major order, raises
     NotBlockInvertibleError instead of producing a bad output. With
-    StripChoice.RANDOM the block-row index for X and the block-column
-    index for Y are drawn independently (in that order) from rng; any
-    combination works because every strip of a block invertible matrix
-    is itself block invertible. The step itself is the one `generate`
-    takes, so both give the same bytes.
+    StripChoice.RANDOM (or its value "random") the block-row index for
+    X and the block-column index for Y are drawn independently (in that
+    order) from rng; any combination works because every strip of a
+    block invertible matrix is itself block invertible. The step itself
+    is the one `generate` takes, so both give the same bytes.
     """
     if not m.is_square:
         raise ValueError(f"cannot extend {m.nrows}x{m.ncols} matrix")
     _check_min_block_size(p)
+    strip = StripChoice(strip)
 
     rep = verify_blocks(m, p)  # raises ValueError unless p divides m
     if not rep.whole_invertible:
@@ -204,19 +206,25 @@ def _grow(m: Matrix, p: int, bi: int, bj: int) -> Matrix:
                                [m.block_row(p, bi), corner]])
 
 
+def _draw(p: int, field: FieldSpec, rng: SplitMix64, low: int = 0) -> Matrix:
+    """The one map from the stream to a p x p matrix: entries row-major,
+    each low + rng.below(order - low), so p*p draws per matrix."""
+    span = field.order - low
+    return Matrix._new(field, tuple(
+        tuple(low + rng.below(span) for _ in range(p)) for _ in range(p)))
+
+
 def random_invertible(p: int, field: FieldSpec, rng: SplitMix64) -> Matrix:
     """Uniform sample from GL(p, field) by rejection.
 
-    Draws entries row-major, each via rng.below(order), and redraws the
-    whole matrix until it is invertible; acceptance probability is
-    gl_count(p, q) / q^(p*p), which exceeds 0.288 even for q = 2.
+    Draws whole matrices with `_draw` until one is invertible; acceptance
+    probability is gl_count(p, q) / q^(p*p), which exceeds 0.288 even
+    for q = 2.
     """
     if p < 1:
         raise ValueError("dimension must be positive")
-    q = field.order
     while True:
-        m = Matrix._new(field, tuple(
-            tuple(rng.below(q) for _ in range(p)) for _ in range(p)))
+        m = _draw(p, field, rng)
         if m.rank() == p:
             return m
 
@@ -306,30 +314,20 @@ def kronecker_generate(p: int, field: FieldSpec, rng: SplitMix64,
     code order when q^(p*p) <= EXHAUSTIVE_LIMIT (so a miss is a proof of
     nonexistence, as over GF(2) where the only all-nonzero matrix is the
     singular all-ones one); otherwise it draws up to max_trials random
-    all-nonzero candidates and a miss is merely inconclusive.
+    all-nonzero candidates with `_draw(..., low=1)` and a miss is merely
+    inconclusive. `trials` counts the candidates tried.
     """
     _check_min_block_size(p)
-    q = field.order
-    a = None
     # q >= 2, so p*p > 20 already puts q^(p*p) past the limit, and the
     # power is never formed for a large p
-    exhaustive = p * p <= 20 and q ** (p * p) <= EXHAUSTIVE_LIMIT
-    trials = 0
-    if exhaustive:
-        for m in _all_nonzero_matrices(p, field):
-            trials += 1
-            if m.rank() == p:
-                a = m
-                break
-    else:
-        for _ in range(max_trials):
-            trials += 1
-            m = Matrix._new(field, tuple(
-                tuple(1 + rng.below(q - 1) for _ in range(p))
-                for _ in range(p)))
-            if m.rank() == p:
-                a = m
-                break
+    exhaustive = p * p <= 20 and field.order ** (p * p) <= EXHAUSTIVE_LIMIT
+    candidates = (_all_nonzero_matrices(p, field) if exhaustive else
+                  (_draw(p, field, rng, low=1) for _ in range(max_trials)))
+    a, trials = None, 0
+    for trials, m in enumerate(candidates, 1):
+        if m.rank() == p:
+            a = m
+            break
     if a is None:
         return KroneckerResult(None, None, None, exhaustive, trials)
     b = random_invertible(p, field, rng)

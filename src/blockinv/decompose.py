@@ -39,9 +39,8 @@ def rank_normal_form(field: FieldSpec, n: int, r: int) -> Matrix:
     """The n x n matrix diag(I_r, 0)."""
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range 0..{n}")
-    return Matrix._new(field, tuple(
-        tuple(1 if i == j and i < r else 0 for j in range(n))
-        for i in range(n)))
+    return Matrix._new(field, Matrix.identity(field, n)._rows[:r]
+                       + ((0,) * n,) * (n - r))
 
 
 def rank_decompose(s: Matrix) -> RankDecomposition:
@@ -56,9 +55,9 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
     n, f = s.nrows, s.field
 
     rows, pivots = _gauss_jordan(s)
-    eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    eye = Matrix.identity(f, n)._rows
     # column k of left: the column of [S | I] under the first e_k in [E | P]
-    reduced, source = list(zip(*rows)), list(zip(*s._rows)) + eye
+    reduced, source = list(zip(*rows)), [*zip(*s._rows), *eye]
     left = tuple(zip(*(source[reduced.index(e)] for e in eye)))
     right = tuple(row[:n] for row in rows[:len(pivots)]) + tuple(
         eye[j] for j in range(n) if j not in pivots)

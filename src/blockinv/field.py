@@ -245,6 +245,11 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self})"
 
+    def __reduce__(self):
+        # the operations are closures, so a field pickles as its notation,
+        # which names it exactly, modulus included
+        return parse_field, (str(self),)
+
     def validate_codes(self, codes) -> None:
         """Raise ValueError unless every code is a canonical element here."""
         if (set(map(type, codes)) == {int} and 0 <= min(codes)

@@ -102,8 +102,8 @@ def _gauss_jordan(m: "Matrix") -> tuple[list[tuple], list[int]]:
     E's pivot columns.
     """
     f, n = m.field, m.nrows
-    rows = [f.pack(row + tuple(1 if i == j else 0 for j in range(n)))
-            for i, row in enumerate(m._rows)]
+    rows = [f.pack(row + unit) for row, unit in
+            zip(m._rows, Matrix.identity(f, n)._rows)]
     pivots = _row_reduce(rows, f, n)
     return [tuple(f.unpack(row, 2 * n)) for row in rows], pivots
 

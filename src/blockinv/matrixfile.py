@@ -45,9 +45,7 @@ class MatrixFileError(ValueError):
 
 
 def dump_text(m: Matrix, p: int) -> str:
-    lines = [MAGIC, str(m.field), f"{m.nrows} {m.ncols} {p}"]
-    lines.extend(" ".join(str(x) for x in row) for row in m._rows)
-    return "\n".join(lines) + "\n"
+    return f"{MAGIC}\n{m.field}\n{m.nrows} {m.ncols} {p}\n{m}\n"
 
 
 def dump_json(m: Matrix, p: int) -> str:

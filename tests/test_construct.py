@@ -3,6 +3,7 @@ full generation, GL counting, Kronecker alternative."""
 
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix
 from blockinv.rng import SplitMix64
 from blockinv.verify import verify_blocks
+
+from oracles import scalar_rref
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -52,6 +55,31 @@ def test_sweep_all_ranks_and_fields():
                 a = perturbation_matrix(p, r, f)
                 assert a.rank() == p
                 assert (rank_normal_form(f, p, r) + a).rank() == p
+
+
+#: perturbation_matrix(p, r) for p = 5 and 6 and every r, rows as digits.
+PERTURBATION = {
+    (5, 0): "10000 01000 00100 00010 00001",
+    (5, 1): "11000 10000 00100 00010 00001",
+    (5, 2): "01000 11000 00100 00010 00001",
+    (5, 3): "11100 11000 10000 00010 00001",
+    (5, 4): "01000 11000 00010 00110 00001",
+    (5, 5): "11100 11000 10000 00001 00011",
+    (6, 0): "100000 010000 001000 000100 000010 000001",
+    (6, 1): "110000 100000 001000 000100 000010 000001",
+    (6, 2): "010000 110000 001000 000100 000010 000001",
+    (6, 3): "111000 110000 100000 000100 000010 000001",
+    (6, 4): "010000 110000 000100 001100 000010 000001",
+    (6, 5): "111000 110000 100000 000010 000110 000001",
+    (6, 6): "010000 110000 000100 001100 000001 000011",
+}
+
+
+@pytest.mark.parametrize("p, r", sorted(PERTURBATION))
+def test_perturbation_matrix_is_pinned(p, r):
+    want = [list(map(int, row)) for row in PERTURBATION[p, r].split()]
+    for field in (GF2, GF3, GF256):
+        assert perturbation_matrix(p, r, field).to_lists() == want
 
 
 def test_rank_bounds():
@@ -216,6 +244,25 @@ def test_extend_names_first_copy_of_a_repeated_singular_block(field):
         extend(m, 2)
 
 
+def test_strip_given_by_value_means_that_choice():
+    m = generate(GeneratorConfig(n=4, p=2, field=GF3, seed=11))
+    for choice in StripChoice:
+        assert (extend(m, 2, choice.value, SplitMix64(1))
+                == extend(m, 2, choice, SplitMix64(1)))
+        cfg = GeneratorConfig(n=12, p=2, field=GF3, seed=11,
+                              strip=choice.value)
+        assert cfg.strip is choice
+        assert generate(cfg) == generate(cfg._replace(strip=choice))
+    # the choices give different bytes here, so a value read as FIRST
+    # would show
+    assert len({generate(GeneratorConfig(n=12, p=2, field=GF3, seed=11,
+                                         strip=c)) for c in StripChoice}) == 3
+    with pytest.raises(ValueError, match="StripChoice"):
+        GeneratorConfig(n=4, p=2, field=GF3, strip="middle")
+    with pytest.raises(ValueError, match="StripChoice"):
+        extend(m, 2, "middle")
+
+
 def test_extend_strip_choices():
     base = generate(GeneratorConfig(n=6, p=2, field=GF5, seed=11))
     first = extend(base, 2, StripChoice.FIRST)
@@ -374,9 +421,78 @@ def test_config_validates_every_way_it_is_built():
         cfg.n = 4
 
 
+def test_config_rejects_a_field_that_is_not_a_fieldspec():
+    for field in ("gf(2)", 2, None):
+        with pytest.raises(TypeError, match="FieldSpec"):
+            GeneratorConfig(n=4, p=2, field=field)
+
+
+@pytest.mark.parametrize("field", [GF2, prime_field(65521),
+                                   binary_field(8, 0x11D), binary_field(16)],
+                         ids=str)
+def test_pickled_config_generates_the_same_bytes(field):
+    cfg = GeneratorConfig(n=8, p=2, field=field, seed=3,
+                          strip=StripChoice.RANDOM)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy.strip is StripChoice.RANDOM
+    assert (matrixfile.dump(generate(copy), 2)
+            == matrixfile.dump(generate(cfg), 2))
+
+
 # ----------------------------------------------------------------------
 # random invertible
 # ----------------------------------------------------------------------
+
+def reference_search(rng, p, field, low, cap=None):
+    """Whole p x p candidates from a raw stream, entries row-major, each
+    low + next_u64() % (order - low), until one has rank p (by the scalar
+    oracle) or cap candidates are spent; returns (rows or None, tries)."""
+    span, tries = field.order - low, 0
+    while cap is None or tries < cap:
+        rows = [[low + rng.next_u64() % span for _ in range(p)]
+                for _ in range(p)]
+        tries += 1
+        if len(scalar_rref(rows, field)[1]) == p:
+            return rows, tries
+    return None, tries
+
+
+@pytest.mark.parametrize("p, field, seed, tries", [
+    (3, GF2, 1, 4),
+    (2, GF256, 58, 2),
+    (4, GF3, 2, None),
+], ids=["gf2-p3", "gf256-p2", "gf3-p4"])
+def test_random_invertible_follows_the_stream(p, field, seed, tries):
+    # the documented stream: entries row-major, each next_u64() % order,
+    # whole matrices redrawn until invertible, and nothing else drawn
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    rows, spent = reference_search(ref, p, field, 0)
+    assert random_invertible(p, field, rng).to_lists() == rows
+    assert rng.state == ref.state
+    if tries is not None:
+        assert spent == tries  # some candidates were rejected
+
+
+@pytest.mark.parametrize("p, field, seed, cap, trials", [
+    (5, GF3, 0, 1000, 2),
+    (2, prime_field(257), 4, 1000, 1),
+    (5, GF2, 0, 40, 40),
+], ids=["gf3-p5", "gf257-p2", "gf2-p5-capped"])
+def test_kronecker_random_search_follows_the_stream(p, field, seed, cap,
+                                                    trials):
+    # random candidates take entries 1 + next_u64() % (order - 1); after
+    # a hit B is drawn from the same stream as random_invertible draws
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    res = kronecker_generate(p, field, rng, max_trials=cap)
+    a, spent = reference_search(ref, p, field, 1, cap)
+    assert not res.exhaustive and res.trials == spent == trials
+    if a is None:
+        assert not res.found
+    else:
+        b, _ = reference_search(ref, p, field, 0)
+        assert res.factor_a.to_lists() == a
+        assert res.factor_b.to_lists() == b
+    assert rng.state == ref.state
 
 def test_one_by_one_over_gf2():
     rng = SplitMix64(0)

@@ -1,5 +1,6 @@
 """Field layer: construction, arithmetic axioms, notation."""
 
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from blockinv.field import (BINARY, MAX_DEGREE, DegreeMismatchError,
                             FieldError, FieldSpec, NotPrimeError,
                             ReduciblePolynomialError, UnsupportedSizeError,
                             binary_field, parse_field, prime_field)
+from blockinv.matrix import Matrix
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -276,3 +278,24 @@ def test_field_equality_distinguishes_kind_and_modulus():
     assert prime_field(2) != binary_field(1)
     assert binary_field(8, 0x11B) != binary_field(8, 0x11D)
     assert prime_field(3) == prime_field(3)
+
+
+# ----------------------------------------------------------------------
+# pickling
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("notation", ["gf(2)", "gf(65521)", "gf(2^8;0x11d)",
+                                      "gf(2^16)", "gf(2^1)"])
+def test_field_and_matrix_pickle_round_trip(notation):
+    # a field pickles as its notation, so the copy is equal, modulus
+    # included, and computes the same
+    f = parse_field(notation)
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and str(copy) == str(f) and copy.modulus == f.modulus
+    top = f.order - 1
+    assert copy.mul(top, top) == f.mul(top, top)
+    assert copy.inv(top) == f.inv(top)
+    m = Matrix(f, [[1, top], [top, 0]])
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.field == f
+    assert back @ back == m @ m and back.inverse() == m.inverse()
