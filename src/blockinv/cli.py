@@ -72,14 +72,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _trials(text: str) -> int:
-    """argparse type for --max-trials: a non-negative decimal int."""
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"trial cap {_clip(text)} is negative")
-    return value
-
-
 def cmd_generate(args) -> int:
     from .construct import GeneratorConfig, generate
     try:
@@ -165,7 +157,7 @@ def cmd_kron(args) -> int:
     rng = SplitMix64(args.seed)
     try:
         res = kronecker_generate(args.p, fld, rng, max_trials=args.max_trials)
-    except ValueError as e:  # a block size below 2
+    except ValueError as e:  # a block size below 2, a negative trial cap
         _err(str(e))
         return 2
     if res.found:
@@ -238,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Kronecker-product construction attempt")
     k.add_argument("--p", type=_int, required=True,
                    help=f"block size, 2..{KRON_MAX_P}")
-    k.add_argument("--max-trials", type=_trials, default=1000,
+    k.add_argument("--max-trials", type=_int, default=1000,
                    help="random search cap for large fields")
     k.set_defaults(func=cmd_kron)
 

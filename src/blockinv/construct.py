@@ -27,6 +27,11 @@ every block of N is a block of M or the corner, so by induction from the
 rank-checked p x p seed every output is an (n, p) block invertible
 square matrix without re-verifying the whole of it.
 
+So generation runs on the grid of p x p blocks: a step appends to each
+block-row its block of Y and adds the row X plus the corner, all as
+references to blocks it already holds, and `Matrix.from_blocks` builds
+the n x n matrix once at the end.
+
 The perturbation matrix A depends only on (p, r) and works over every
 field: it is assembled from 2x2 and 3x3 tiles whose determinants, and the
 determinants of the corresponding tiles of diag(I_r, 0) + A, are all +-1.
@@ -72,16 +77,23 @@ class GeneratorConfig(namedtuple("GeneratorConfig",
                                  defaults=(DEFAULT_SEED, StripChoice.FIRST))):
     """Parameters for one deterministic generation run.
 
-    `__new__` validates them and coerces `strip` to a StripChoice, so a
-    strip given by its value ("random") means that choice and an unknown
-    one raises ValueError. `_make`, which `_replace` and unpickling build
-    through, calls the constructor, so no way of building one skips it.
+    `__new__` validates them: n, p and seed must be ints (not bools),
+    else TypeError naming the field, and the seed must lie in [0, 2^64),
+    the range SplitMix64 keeps, so no two unequal seeds name one stream.
+    It coerces `strip` to a StripChoice, so a strip given by its value
+    ("random") means that choice and an unknown one raises ValueError.
+    `_make`, which `_replace` and unpickling build through, calls the
+    constructor, so no way of building one skips it.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         n, p, field, seed, strip = super().__new__(cls, *args, **kwargs)
+        for name, value in (("n", n), ("p", p), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got "
+                                f"{type(value).__name__}")
         _check_min_block_size(p)
         if not isinstance(field, FieldSpec):
             raise TypeError(f"field must be a FieldSpec, got "
@@ -92,6 +104,8 @@ class GeneratorConfig(namedtuple("GeneratorConfig",
         if n % p:
             raise ValueError(
                 f"p={_clip(str(p))} must divide n={_clip(str(n))}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {_clip(str(seed))} is outside [0, 2^64)")
         return super().__new__(cls, n, p, field, seed, StripChoice(strip))
 
     @classmethod
@@ -174,7 +188,10 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
         i, j = rep.failing_blocks[0]
         raise NotBlockInvertibleError(f"input block ({i}, {j}) is singular")
 
-    return _grow(m, p, *_strip_indices(strip, m.nrows // p, rng))
+    nb = m.nrows // p
+    grid = [[m.block(p, i, j) for j in range(nb)] for i in range(nb)]
+    _grow(grid, *_strip_indices(strip, nb, rng))
+    return Matrix.from_blocks(grid)
 
 
 def _strip_indices(strip: StripChoice, nb: int,
@@ -190,20 +207,24 @@ def _strip_indices(strip: StripChoice, nb: int,
     return 0, 0
 
 
-def _grow(m: Matrix, p: int, bi: int, bj: int) -> Matrix:
-    """One trusted growth step of a (t, p) block invertible square m.
+def _grow(grid: list[list[Matrix]], bi: int, bj: int) -> None:
+    """One trusted growth step, in place, on the k x k block grid of a
+    (kp, p) block invertible square M.
 
-    X = block-row bi and Y = block-column bj of m, so the corner defect
-    X @ M^-1 @ Y is the block m[bi][bj]. The O(p^3) certificate below,
-    with det N = det M * det W, carries block invertibility from m to N.
+    X = block-row bi and Y = block-column bj of M, so the corner defect
+    X @ M^-1 @ Y is the block grid[bi][bj]. The O(p^3) certificate below,
+    with det N = det M * det W, carries block invertibility from M to N.
+    Every row gains its block of Y, and the new row is X and the corner:
+    the step appends block references and copies no entries.
     """
-    s = m.block(p, bi, bj)
+    s = grid[bi][bj]
     w, corner = corner_completion(s)
-    if w.rank() != p or corner.rank() != p:
-        raise AssertionError(
-            f"corner completion certificate failed for p={p}, {m.field}")
-    return Matrix.from_blocks([[m, m.block_col(p, bj)],
-                               [m.block_row(p, bi), corner]])
+    if w.rank() != s.nrows or corner.rank() != s.nrows:
+        raise AssertionError(f"corner completion certificate failed for "
+                             f"p={s.nrows}, {s.field}")
+    for row in grid:
+        row.append(row[bj])
+    grid.append(grid[bi][:-1] + [corner])
 
 
 def _draw(p: int, field: FieldSpec, rng: SplitMix64, low: int = 0) -> Matrix:
@@ -233,17 +254,18 @@ def generate(config: GeneratorConfig) -> Matrix:
     """Produce an (n, p) block invertible square matrix, deterministically.
 
     Seeds a SplitMix64 stream from config.seed, draws the initial p x p
-    invertible matrix, then takes exactly (n - p) / p growth steps. It
-    does not call `extend`: each input is the previous step's own
-    certified output, so re-verifying it would be redundant. A step costs
-    O(p^3) field operations plus an O(t^2) copy of M into N.
+    invertible matrix, then takes exactly (n - p) / p growth steps on the
+    grid of p x p blocks. It does not call `extend`: each input is the
+    previous step's own certified output, so re-verifying it would be
+    redundant. A step costs O(p^3) field operations and appends block
+    references; the n x n matrix is assembled once, in O(n^2), at the end.
     """
     p = config.p
     rng = SplitMix64(config.seed)
-    m = random_invertible(p, config.field, rng)
+    grid = [[random_invertible(p, config.field, rng)]]
     for nb in range(1, config.n // p):
-        m = _grow(m, p, *_strip_indices(config.strip, nb, rng))
-    return m
+        _grow(grid, *_strip_indices(config.strip, nb, rng))
+    return Matrix.from_blocks(grid)
 
 
 def gl_count(p: int, q: int) -> int:
@@ -315,9 +337,12 @@ def kronecker_generate(p: int, field: FieldSpec, rng: SplitMix64,
     nonexistence, as over GF(2) where the only all-nonzero matrix is the
     singular all-ones one); otherwise it draws up to max_trials random
     all-nonzero candidates with `_draw(..., low=1)` and a miss is merely
-    inconclusive. `trials` counts the candidates tried.
+    inconclusive. `trials` counts the candidates tried. A negative
+    max_trials raises ValueError.
     """
     _check_min_block_size(p)
+    if max_trials < 0:
+        raise ValueError(f"trial cap {_clip(str(max_trials))} is negative")
     # q >= 2, so p*p > 20 already puts q^(p*p) past the limit, and the
     # power is never formed for a large p
     exhaustive = p * p <= 20 and field.order ** (p * p) <= EXHAUSTIVE_LIMIT

@@ -269,21 +269,6 @@ class Matrix:
         return Matrix._new(self.field, tuple(
             row[j * p:(j + 1) * p] for row in self._rows[i * p:(i + 1) * p]))
 
-    def block_row(self, p: int, i: int) -> "Matrix":
-        """Block-row strip i: the p x ncols submatrix of rows i*p..(i+1)*p."""
-        self._check_block_size(p)
-        if not 0 <= i < self.nrows // p:
-            raise IndexError(f"block row {i} out of range")
-        return Matrix._new(self.field, self._rows[i * p:(i + 1) * p])
-
-    def block_col(self, p: int, j: int) -> "Matrix":
-        """Block-column strip j: the nrows x p submatrix of columns j*p..(j+1)*p."""
-        self._check_block_size(p)
-        if not 0 <= j < self.ncols // p:
-            raise IndexError(f"block column {j} out of range")
-        return Matrix._new(self.field, tuple(
-            row[j * p:(j + 1) * p] for row in self._rows))
-
     @classmethod
     def from_blocks(cls, grid) -> "Matrix":
         """Assemble a matrix from a rectangular grid of matrices.

@@ -297,7 +297,7 @@ def test_verify_nonsquare_strip_exit_0(tmp_path, capsys):
     from blockinv.construct import GeneratorConfig, generate
     m = generate(GeneratorConfig(n=6, p=2, field=prime_field(3), seed=8))
     path = tmp_path / "strip.bim"
-    path.write_text(dump_text(m.block_row(2, 0), 2))
+    path.write_text(dump_text(Matrix(m.field, m.to_lists()[:2]), 2))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "whole matrix: not square" in out

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -160,10 +161,14 @@ def test_extend_gf3_six_by_six():
 
 
 def test_strips_of_block_invertible_are_block_invertible():
+    # why any strip may border M: its blocks are blocks of M
     m = generate(GeneratorConfig(n=8, p=2, field=GF2, seed=3))
+    rows = m.to_lists()
     for i in range(4):
-        assert verify_blocks(m.block_row(2, i), 2).is_block_invertible
-        assert verify_blocks(m.block_col(2, i), 2).is_block_invertible
+        block_row = Matrix(GF2, rows[2 * i:2 * i + 2])
+        block_col = Matrix(GF2, [row[2 * i:2 * i + 2] for row in rows])
+        assert verify_blocks(block_row, 2).is_block_invertible
+        assert verify_blocks(block_col, 2).is_block_invertible
 
 
 def test_extend_rejects_bad_input():
@@ -345,6 +350,33 @@ def test_generate_rejects_singular_completion(monkeypatch, bad):
         generate(GeneratorConfig(n=8, p=2, field=GF3, seed=1))
 
 
+@pytest.mark.parametrize("strip", list(StripChoice))
+def test_generate_assembles_once_and_reads_no_block(monkeypatch, strip):
+    # a growth step appends block references to the grid of p x p blocks,
+    # so the n x n matrix is built once, at the end, and no block of it
+    # is ever read back
+    calls = Counter()
+    block, from_blocks = Matrix.block, Matrix.from_blocks.__func__
+
+    def counted_block(self, *args):
+        calls["block"] += 1
+        return block(self, *args)
+
+    def counted_from_blocks(cls, grid):
+        calls["from_blocks"] += 1
+        return from_blocks(cls, grid)
+
+    monkeypatch.setattr(Matrix, "block", counted_block)
+    monkeypatch.setattr(Matrix, "from_blocks",
+                        classmethod(counted_from_blocks))
+    for n, p in ((2, 2), (4, 2), (10, 2), (18, 2), (9, 3), (32, 4)):
+        calls.clear()
+        m = generate(GeneratorConfig(n=n, p=p, field=GF3, seed=n,
+                                     strip=strip))
+        assert m.nrows == n
+        assert dict(calls) == {"from_blocks": 1}, (n, p)
+
+
 # sha256 of matrixfile.dump text: generation must stay byte-reproducible,
 # so any change to the bytes a config produces breaks these.
 GOLDEN = [
@@ -419,6 +451,27 @@ def test_config_validates_every_way_it_is_built():
         GeneratorConfig._make((8, 1, GF3, 5, StripChoice.FIRST))
     with pytest.raises(AttributeError):
         cfg.n = 4
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 4.0), ("n", True), ("n", "4"), ("p", 2.0), ("p", True),
+    ("seed", "7"), ("seed", True), ("seed", 7.0), ("seed", None)])
+def test_config_rejects_an_n_p_or_seed_that_is_not_an_int(name, value):
+    kwargs = {"n": 4, "p": 2, "field": GF2, "seed": 7, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        GeneratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(10 ** 3000)],
+                         ids=["minus-one", "two-to-the-64", "long-negative"])
+def test_config_rejects_a_seed_outside_the_stream(seed):
+    # SplitMix64 keeps the seed mod 2^64, so -1 would give the bytes of
+    # 2^64 - 1 under a config that compares unequal to it
+    with pytest.raises(ValueError, match=r"is outside \[0, 2\^64\)") as e:
+        GeneratorConfig(n=4, p=2, field=GF2, seed=seed)
+    assert len(str(e.value)) < 300
+    for edge in (0, (1 << 64) - 1):
+        assert GeneratorConfig(n=4, p=2, field=GF2, seed=edge).seed == edge
 
 
 def test_config_rejects_a_field_that_is_not_a_fieldspec():
@@ -630,6 +683,18 @@ def test_random_mode_cap_hit_is_inconclusive():
     assert not res.exhaustive
     assert not res.proved_nonexistence
     assert res.trials == 40
+
+
+@pytest.mark.parametrize("field", [GF2, prime_field(257)], ids=str)
+def test_negative_trial_cap_is_rejected(field):
+    # GF(2) at p=2 takes the exhaustive search and GF(257) the random
+    # one; the cap is checked before either is picked
+    for cap in (-1, -(10 ** 3000)):
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match="trial cap .* is negative") as e:
+            kronecker_generate(2, field, rng, max_trials=cap)
+        assert len(str(e.value)) < 300
+        assert rng.state == SplitMix64(0).state
 
 
 def test_all_nonzero_candidates_in_row_major_code_order():

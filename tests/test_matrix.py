@@ -214,10 +214,6 @@ def test_block_errors():
         i4.block(3, 0, 0)
     with pytest.raises(IndexError):
         i4.block(2, 0, 2)
-    with pytest.raises(IndexError):
-        i4.block_row(2, 2)
-    with pytest.raises(IndexError):
-        i4.block_col(2, -1)
 
 
 def test_block_round_trip():
@@ -228,19 +224,6 @@ def test_block_round_trip():
             grid = [[m.block(p, i, j) for j in range(nc // p)]
                     for i in range(nr // p)]
             assert Matrix.from_blocks(grid) == m
-
-
-def test_strips_are_submatrices():
-    rnd = random.Random(23)
-    m = random_matrix(GF3, 6, 6, rnd)
-    strip = m.block_row(2, 1)
-    assert strip.nrows == 2 and strip.ncols == 6
-    for j in range(3):
-        assert strip.block(2, 0, j) == m.block(2, 1, j)
-    col = m.block_col(2, 2)
-    assert col.nrows == 6 and col.ncols == 2
-    for i in range(3):
-        assert col.block(2, i, 0) == m.block(2, i, 2)
 
 
 def test_from_blocks_validates():

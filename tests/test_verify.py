@@ -39,7 +39,7 @@ def test_generated_matrix_passes():
 
 def test_non_square_strip():
     m = generate(GeneratorConfig(n=8, p=2, field=GF3, seed=2))
-    strip = m.block_row(2, 0)  # 2 x 8, all blocks invertible
+    strip = Matrix(GF3, m.to_lists()[:2])  # 2 x 8, all blocks invertible
     rep = verify_blocks(strip, 2)
     assert rep.is_block_invertible
     assert rep.whole_invertible is None
@@ -77,7 +77,8 @@ def test_verdicts_agree_with_inverse():
         Matrix.zeros(GF3, 4, 4),
         generate(GeneratorConfig(n=8, p=2, field=GF2, seed=5)),
         generate(GeneratorConfig(n=9, p=3, field=GF16, seed=6)),
-        generate(GeneratorConfig(n=6, p=2, field=GF3, seed=7)).block_row(2, 1),
+        Matrix(GF3, generate(GeneratorConfig(n=6, p=2, field=GF3,
+                                             seed=7)).to_lists()[2:4]),
     ]
     rnd = random.Random(12)
     fixtures.append(Matrix(GF2, [[rnd.randrange(2) for _ in range(6)]
@@ -115,7 +116,7 @@ def test_render_json_mirrors_report():
     assert obj["is_block_invertible_square"] is True
     assert obj["block_verdicts"] == [[True, True], [True, True]]
     # non-square reports null
-    strip = m.block_row(2, 0)
+    strip = Matrix(GF2, m.to_lists()[:2])
     assert json.loads(render_report_json(verify_blocks(strip, 2)))[
         "whole_invertible"] is None
 
