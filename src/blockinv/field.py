@@ -11,26 +11,36 @@ A FieldSpec carries its operations as plain function attributes: the
 scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
 the matrix algebra is written in. Rows are handled packed: `pack` turns
 a row of codes into the field's packed row, `unpack` turns it back,
-`entry` reads one entry, and `scale(row, a) = a*row` and
-`axpy(row, a, other) = row + a*other` work on packed rows. All of them
-are chosen together at construction by one arm per field kind, so
-neither the field nor any caller branches on the kind per operation,
-and no caller sees a packed form:
+`entry` reads one entry, `scale(row, a) = a*row` works on a packed row,
+and the one row update takes its fixed operand first:
+`add = adder(other, uses)` returns `add(row, a) = row + a*other`, to be
+applied to about `uses` rows. All of them are chosen together at
+construction by one arm per field kind, so neither the field nor any
+caller branches on the kind per operation, and no caller sees a packed
+form:
 
-    GF(2)      one int per row, bit j for column j; axpy is an XOR.
+    GF(2)      one int per row, bit j for column j; an update is an XOR.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
-               axpy is row + a*other, reduced mod p only by `entry`,
-               `scale` and `unpack` (delayed modular reduction).
+               an update is row + a*other, reduced mod p only by
+               `entry`, `scale` and `unpack` (delayed modular reduction).
     GF(2^k)    one int per row of w-bit slots, slot j for column j, for
                k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
-               the smallest struct width that holds 2k-1 bits. axpy XORs
-               in the carry-less product a*other, one shifted copy of
-               `other` per set bit of a, and leaves each slot unreduced;
-               `entry`, `scale` and `unpack` reduce it mod the modulus.
+               the smallest struct width that holds 2k-1 bits. An update
+               XORs in the carry-less product a*other and leaves each
+               slot unreduced; `entry`, `scale` and `unpack` reduce it
+               mod the modulus.
+
+A GF(2^k) update forms a*other in one of two ways, with the same result.
+For fewer than _TABLE_ROWS uses it XORs one shifted copy of `other` per
+set bit of a. For more, `adder` first builds product tables (the
+Newton-John tables of M4RIE: Albrecht, ISSAC 2012): for each 4-bit
+window of a scalar, the 16 carry-less multiples d*other shifted into
+that window, so an update is one lookup and XOR per window, ceil(k/4) in
+all, whatever the bits of a.
 
 A GF(p) slot never borrows, because every factor is a canonical code in
 0..p-1, and never carries into the next slot: if every row added is
-canonical (scaled, or fresh from `pack`), each axpy adds less than
+canonical (scaled, or fresh from `pack`), each update adds less than
 p^2 <= 2^32 to a slot, so a slot that starts canonical stays below 2^64
 for fewer than 2^32 additions. The elimination kernel adds to a row at
 most once per pivot, and a product once per inner index.
@@ -90,6 +100,9 @@ MAX_PRIME = 1 << 16
 _SLOT_MASK = (1 << 64) - 1
 #: A GF(2^k) row of at most this many slots is scaled entry by entry.
 _SHORT_ROW = 8
+#: A GF(2^k) row update applied to at least this many rows builds
+#: product tables for its fixed operand first.
+_TABLE_ROWS = 16
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
 
@@ -179,13 +192,13 @@ class FieldSpec:
     The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
     packed-row conversions `pack(codes)`, `unpack(row, n)` and
     `entry(row, j)`, and the row operations `scale(row, a)` and
-    `axpy(row, a, other)` are its arithmetic, bound once by
+    `adder(other, uses)` are its arithmetic, bound once by
     `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
                  "add", "neg", "mul", "inv", "pack", "unpack", "entry",
-                 "scale", "axpy")
+                 "scale", "adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -279,13 +292,14 @@ def _arithmetic(field: FieldSpec) -> dict:
     `pack(codes)` turns a row of codes into the arm's packed row and
     `unpack(row, n)` turns a packed row of n entries back into a list of
     canonical codes; `entry(row, j)` reads entry j as a canonical code.
-    scale(row, a) is a*row with canonical entries, and
-    axpy(row, a, other) is row + a*other for a canonical code a and a
-    canonical row `other` (scaled, or fresh from `pack`); both take and
-    return packed rows and never modify their arguments. Over GF(p) and
-    GF(2^k) the row axpy returns may hold unreduced slots, which only
-    `entry`, `scale` and `unpack` read (see the module docstring for
-    why no slot overflows). inv(0) raises ZeroDivisionError.
+    scale(row, a) is a*row with canonical entries. adder(other, uses)
+    takes a canonical row `other` (scaled, or fresh from `pack`) and the
+    number of rows it is about to update, and returns add(row, a), which
+    is row + a*other for a canonical code a. Both take and return packed
+    rows and never modify their arguments. Over GF(p) and GF(2^k) the
+    row `add` returns may hold unreduced slots, which only `entry`,
+    `scale` and `unpack` read (see the module docstring for why no slot
+    overflows). inv(0) raises ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
 
@@ -314,16 +328,18 @@ def _arithmetic(field: FieldSpec) -> dict:
         def scale(row, a):
             return row if a else 0
 
-        def axpy(row, a, other):
-            return row ^ other if a else row
+        def adder(other, uses):
+            def add(row, a):
+                return row ^ other if a else row
+            return add
 
         return dict(add=operator.xor, neg=neg_self, mul=operator.and_,
                     inv=inv, pack=pack, unpack=unpack, entry=entry,
-                    scale=scale, axpy=axpy)
+                    scale=scale, adder=adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
-        # reduced mod p only when read. axpy adds a*other slot by slot
+        # reduced mod p only when read. An update adds a*other slot by slot
         # with no carry between slots, as long as every slot stays below
         # 2^64 (see the module docstring).
         p = field.characteristic
@@ -355,11 +371,13 @@ def _arithmetic(field: FieldSpec) -> dict:
             return pack([x * a % p for x in
                          unpack(row, (row.bit_length() + 63) >> 6)])
 
-        def axpy(row, a, other):
-            return row + a * other
+        def adder(other, uses):
+            def add(row, a):
+                return row + a * other
+            return add
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
-                    unpack=unpack, entry=entry, scale=scale, axpy=axpy)
+                    unpack=unpack, entry=entry, scale=scale, adder=adder)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
     # tables w.r.t. the smallest generator, found by the walk that fills
@@ -437,12 +455,31 @@ def _arithmetic(field: FieldSpec) -> dict:
         x = row >> (j * w) & slot
         return x if x < q else x & low ^ exp[log[x >> k] + log_r]
 
-    def axpy(row, a, other):
-        while a:
-            bit = a & -a
-            row ^= other << (bit.bit_length() - 1)
-            a ^= bit
-        return row
+    def adder(other, uses):
+        if uses < _TABLE_ROWS:
+            def add(row, a):
+                while a:
+                    bit = a & -a
+                    row ^= other << (bit.bit_length() - 1)
+                    a ^= bit
+                return row
+            return add
+        # tables[i][d] = d*other shifted into the i-th 4-bit window of a
+        # scalar, built by doubling: each bit of d adds a shifted copy.
+        # The top window holds only the k - s bits a scalar reaches.
+        low4 = [0]
+        for b in range(min(k, 4)):
+            copy = other << b
+            low4 += [x ^ copy for x in low4]
+        tables = [low4] + [[x << s for x in low4[:1 << k - s]]
+                           for s in range(4, k, 4)]
+
+        def add(row, a):
+            for t in tables:
+                row ^= t[a & 15]
+                a >>= 4
+            return row
+        return add
 
     def scale(row, a):
         # A long row is reduced, multiplied and reduced again across all
@@ -450,7 +487,7 @@ def _arithmetic(field: FieldSpec) -> dict:
         # as in `entry` and multiplied through the tables.
         n = -(-row.bit_length() // w)
         if n > _SHORT_ROW:
-            return reduce(axpy(0, a, reduce(row)))
+            return reduce(adder(reduce(row), 1)(0, a))
         if not a:
             return 0
         la, out = log[a], 0
@@ -462,7 +499,7 @@ def _arithmetic(field: FieldSpec) -> dict:
         return out
 
     return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=pack,
-                unpack=unpack, entry=entry, scale=scale, axpy=axpy)
+                unpack=unpack, entry=entry, scale=scale, adder=adder)
 
 
 def prime_field(p: int) -> FieldSpec:

@@ -7,16 +7,22 @@ see plain codes.
 
 Arithmetic on rows runs on the field's packed rows: an operation packs
 its operand rows with `pack`, works on them with `scale(row, a) = a*row`
-and `axpy(row, a, other) = row + a*other`, reads entries with `entry`
-and unpacks its result with `unpack` (see field.py for each field's
-packed form). This module never branches on the field kind: addition is
-one axpy per row, a product accumulates one axpy per nonzero left entry
-and unpacks once per output row, and the Kronecker product scales rows.
+and the one row update, `add = adder(other, uses)` with
+`add(row, a) = row + a*other`, reads entries with `entry` and unpacks
+its result with `unpack` (see field.py for each field's packed form).
+This module never branches on the field kind. An update is made once
+per fixed operand, told how many rows it may update, and applied to all
+of them, so over GF(2^k) it builds product tables only when enough rows
+share them. Elimination makes one per pivot row, at the first row it
+clears, for the rows left from there on. A product makes one per row of
+its right factor, for the nonzero entries of the matching left column,
+and unpacks once per output row. The Kronecker product scales rows, and
+addition adds codes with the scalar `add`.
 
 Elimination is one forward pass, `_echelon`: it normalises each pivot
-row with scale and eliminates with axpy below the pivot only. `rank()`
-runs that pass alone. `_gauss_jordan` owns the one reduction of [A | I]
-to [E | P], with P @ A = E: `_row_reduce` adds a back-substitution pass
+row with scale and eliminates below the pivot only. `rank()` runs that
+pass alone. `_gauss_jordan` owns the one reduction of [A | I] to
+[E | P], with P @ A = E: `_row_reduce` adds a back-substitution pass
 clearing above each pivot, and the reduced row-echelon form is unique,
 so this gives the same integers as a Gauss-Jordan sweep. Inversion reads
 P off the right half; the rank decomposition (decompose.py) reads both
@@ -39,6 +45,26 @@ class SingularMatrixError(ValueError):
     """Square matrix has no inverse."""
 
 
+def _clear(rows: list, targets: range, c: int, prow: int,
+           field: FieldSpec) -> None:
+    """Subtract from each target row its entry in column c times the
+    canonical pivot row `prow`, whose entry in column c is 1, so that
+    column c of every target becomes zero.
+
+    One update serves them all. It is made at the first target with a
+    nonzero entry, for the targets from there on, so a column that is
+    already clear builds nothing.
+    """
+    entry, neg = field.entry, field.neg
+    add = None
+    for i in targets:
+        f = entry(rows[i], c)
+        if f:
+            if add is None:
+                add = field.adder(prow, targets.stop - i)
+            rows[i] = add(rows[i], neg(f))
+
+
 def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
     """Bring packed `rows` to row-echelon form in place (forward pass).
 
@@ -50,8 +76,7 @@ def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
 
     Returns the pivot columns; their count is the rank of that part.
     """
-    scale, axpy, inv, neg, entry = (field.scale, field.axpy, field.inv,
-                                    field.neg, field.entry)
+    scale, inv, entry = field.scale, field.inv, field.entry
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -61,10 +86,7 @@ def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r] = scale(rows[r], inv(entry(rows[r], c)))
-        for i in range(r + 1, nrows):
-            f = entry(rows[i], c)
-            if f:
-                rows[i] = axpy(rows[i], neg(f), prow)
+        _clear(rows, range(r + 1, nrows), c, prow, field)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -82,15 +104,10 @@ def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
 
     Returns the pivot columns, as `_echelon` does.
     """
-    scale, axpy, neg, entry = field.scale, field.axpy, field.neg, field.entry
     pivots = _echelon(rows, field, width)
     for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        prow = rows[k] = scale(rows[k], 1)
-        for i in range(k):
-            f = entry(rows[i], c)
-            if f:
-                rows[i] = axpy(rows[i], neg(f), prow)
+        prow = rows[k] = field.scale(rows[k], 1)
+        _clear(rows, range(k), pivots[k], prow, field)
     return pivots
 
 
@@ -195,10 +212,10 @@ class Matrix:
             raise ValueError(
                 f"cannot add {self.nrows}x{self.ncols} and "
                 f"{other.nrows}x{other.ncols}")
-        f, n = self.field, self.ncols
-        rows = tuple(tuple(f.unpack(f.axpy(f.pack(ra), 1, f.pack(rb)), n))
-                     for ra, rb in zip(self._rows, other._rows))
-        return Matrix._new(f, rows)
+        add = self.field.add
+        return Matrix._new(self.field, tuple(
+            tuple(map(add, ra, rb))
+            for ra, rb in zip(self._rows, other._rows)))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -209,17 +226,14 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         f, n = self.field, other.ncols
-        axpy, unpack = f.axpy, f.unpack
-        brows = [f.pack(row) for row in other._rows]
-        zero = f.pack((0,) * n)
-        out = []
-        for arow in self._rows:
-            acc = zero
-            for a, brow in zip(arow, brows):
-                if a:
-                    acc = axpy(acc, a, brow)
-            out.append(tuple(unpack(acc, n)))
-        return Matrix._new(f, tuple(out))
+        # row i of the product is the sum over k of self[i, k] times row k
+        # of other, so each row of other makes one update for every row
+        # i; a zero entry adds nothing
+        acc = [f.pack((0,) * n)] * self.nrows
+        for brow, col in zip(other._rows, zip(*self._rows)):
+            add = f.adder(f.pack(brow), self.nrows - col.count(0))
+            acc = list(map(add, acc, col))
+        return Matrix._new(f, tuple(tuple(f.unpack(x, n)) for x in acc))
 
     def rank(self) -> int:
         rows = [self.field.pack(row) for row in self._rows]

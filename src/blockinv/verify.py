@@ -1,26 +1,41 @@
 """Independent checker for block invertibility.
 
-`verify_blocks` decides every p x p block (and, for a square matrix,
-the whole matrix) by rank: a square matrix is invertible exactly when
-its rank is its size. It is the one place this is decided: `extend`
-checks its input through it, and the test suite cross-checks every
-verdict against whether `inverse()` succeeds. Verdicts are gathered in
+`verify_blocks` decides every p x p block, and, for a square matrix,
+the whole matrix. It is the one place this is decided: `extend` checks
+its input through it, and the test suite cross-checks every verdict
+against whether `inverse()` succeeds. Verdicts are gathered in
 row-major block order, so the report is deterministic.
 
 A block's verdict depends only on its contents, so each distinct block
-is ranked once and its verdict reused wherever it recurs. This matters
+is decided once and its verdict reused wherever it recurs. This matters
 for generated matrices: a growth step copies blocks of M into its
 border and derives the corner from one of them, so a 256 x 256 output
 with 4 x 4 blocks has 4096 blocks but only a handful of distinct ones.
 The report counts the distinct blocks and the most copies of any one.
+
+The distinct blocks are decided together, up to _BATCH at a time, by
+one forward elimination over lanes: lane (i, j) holds entry (i, j) of
+every block in the batch, and each step is a `map` of the field's
+scalar operations along lanes, so the per-call cost of an elimination
+is paid once per batch instead of once per block. Each block searches
+its own pivot and swaps rows only inside its own lanes; a p x p block
+is invertible exactly when every one of its p columns yields a pivot,
+so the verdicts are exact. The whole matrix is decided by its rank
+(`Matrix.rank`, the packed-row kernel): it is invertible exactly when
+its rank is its size.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 
+from .field import FieldSpec
 from .matrix import Matrix
+
+#: Most distinct blocks decided by one batched elimination; bounds the
+#: memory its lanes take.
+_BATCH = 128
 
 
 class BlockReport(namedtuple("BlockReport", (
@@ -39,28 +54,60 @@ class BlockReport(namedtuple("BlockReport", (
     __slots__ = ()
 
 
+def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
+    """Whether each of `blocks`, p x p tuples of row tuples over `field`,
+    is invertible, by one forward elimination over all of them at once.
+
+    lanes[i][j][b] is entry (i, j) of block b. Column c of every block
+    takes row c as its pivot row; a block whose entry there is zero
+    swaps in the first row below it with a nonzero entry, and a block
+    with none is singular. A singular block clears nothing in that
+    column and goes on through the later ones, but its verdict is
+    already fixed.
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    lanes = [[list(col) for col in zip(*(b[i] for b in blocks))]
+             for i in range(p)]
+    ok = [True] * len(blocks)
+    for c in range(p):
+        top = lanes[c]
+        for b in [b for b, x in enumerate(top[c]) if not x]:
+            i = next((i for i in range(c + 1, p) if lanes[i][c][b]), 0)
+            if not i:
+                ok[b] = False
+                continue
+            for j in range(c, p):
+                top[j][b], lanes[i][j][b] = lanes[i][j][b], top[j][b]
+        if c + 1 == p:
+            break
+        # g = -entry / pivot, so row i + g * row c clears column c
+        piv = [neg(inv(x)) if x else 0 for x in top[c]]
+        for row in lanes[c + 1:]:
+            g = list(map(mul, row[c], piv))
+            for j in range(c + 1, p):
+                row[j] = list(map(add, row[j], map(mul, g, top[j])))
+    return ok
+
+
 def verify_blocks(m: Matrix, p: int) -> BlockReport:
     """Check every p x p block of m, and m itself when square."""
     m._check_block_size(p)
 
-    seen = {}  # block rows -> [verdict, positions holding that block]
-    verdicts = []
-    failing = []
+    index = {}  # block rows -> its number among the distinct blocks
+    grid = []   # the number of the block at each position
     for i in range(m.nrows // p):
         strip = m._rows[i * p:(i + 1) * p]
-        row = []
-        for j in range(m.ncols // p):
-            block = tuple(r[j * p:(j + 1) * p] for r in strip)
-            memo = seen.get(block)
-            if memo is None:
-                memo = seen[block] = [
-                    Matrix._new(m.field, block).rank() == p, 0]
-            memo[1] += 1
-            ok = memo[0]
-            row.append(ok)
-            if not ok:
-                failing.append((i, j))
-        verdicts.append(tuple(row))
+        grid.append([
+            index.setdefault(tuple(r[j * p:(j + 1) * p] for r in strip),
+                             len(index))
+            for j in range(m.ncols // p)])
+    distinct = list(index)
+    ok = []
+    for s in range(0, len(distinct), _BATCH):
+        ok += _invertible(distinct[s:s + _BATCH], m.field, p)
+    verdicts = tuple(tuple(ok[k] for k in row) for row in grid)
+    failing = tuple((i, j) for i, row in enumerate(verdicts)
+                    for j, v in enumerate(row) if not v)
 
     whole = m.is_invertible() if m.is_square else None
 
@@ -70,12 +117,13 @@ def verify_blocks(m: Matrix, p: int) -> BlockReport:
         ncols=m.ncols,
         block_size=p,
         whole_invertible=whole,
-        block_verdicts=tuple(verdicts),
-        failing_blocks=tuple(failing),
+        block_verdicts=verdicts,
+        failing_blocks=failing,
         is_block_invertible=all_blocks,
         is_block_invertible_square=all_blocks and whole is True,
-        distinct_blocks=len(seen),
-        max_block_multiplicity=max(copies for _, copies in seen.values()),
+        distinct_blocks=len(distinct),
+        max_block_multiplicity=max(
+            Counter(k for row in grid for k in row).values()),
     )
 
 

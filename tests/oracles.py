@@ -5,10 +5,18 @@ rows: entries are lists of codes and every operation is a scalar
 `add`/`mul`/`neg`/`inv`, so a slip in packing, slot reduction or tail
 updates cannot hide in both sides. `decomposition_check` decides whether
 a rank decomposition is valid, using the library's own algebra.
+`SLOW_REDUCTION` is the field whose packed rows are slowest to read.
 """
 
 from blockinv.decompose import RankDecomposition, rank_normal_form
+from blockinv.field import _is_irreducible, binary_field
 from blockinv.matrix import Matrix, SingularMatrixError
+
+#: The first GF(2^16) modulus x^16 + x^15 + ... : r = m XOR x^16 has degree
+#: 15, so each reduction round lowers a slot's high part by one degree
+#: only, and a packed row takes the most rounds to read.
+SLOW_REDUCTION = binary_field(16, next(m for m in range(0x18001, 0x20000, 2)
+                                       if _is_irreducible(m, 16)))
 
 
 def scalar_rref(rows, field):

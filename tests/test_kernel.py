@@ -6,20 +6,15 @@ import json
 import pytest
 
 from blockinv.decompose import rank_decompose
-from blockinv.field import _is_irreducible, binary_field, prime_field
+from blockinv.field import _TABLE_ROWS, binary_field, parse_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
-from oracles import decomposition_check, scalar_matmul, scalar_rref
+from oracles import (SLOW_REDUCTION, decomposition_check, scalar_matmul,
+                     scalar_rref)
 
 KERNEL_FIELDS = (prime_field(2), prime_field(3), prime_field(65521),
                  binary_field(8), binary_field(8, 0x11D), binary_field(16))
-
-#: The first GF(2^16) modulus x^16 + x^15 + ... : r = m XOR x^16 has degree
-#: 15, so each reduction round lowers a slot's high part by one degree
-#: only, and a packed row takes the most rounds to read.
-SLOW_REDUCTION = binary_field(16, next(m for m in range(0x18001, 0x20000, 2)
-                                       if _is_irreducible(m, 16)))
 
 #: sha256 of `_kernel_records()`. Results must stay byte-identical across
 #: refactors of the kernel, so any change in pivot order or arithmetic
@@ -74,16 +69,20 @@ def test_kernel_digest_is_pinned():
 
 def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
-    axpy returns, which a packed form may leave unreduced; then the same
-    on short rows cut from xs and ys."""
+    an update returns, which a packed form may leave unreduced, with the
+    update made for one use and for enough uses to build product tables;
+    then the same on short rows cut from xs and ys."""
     pack, unpack, n = field.pack, field.unpack, len(xs)
     px, py = pack(xs), pack(ys)
     assert unpack(px, n) == xs and unpack(py, n) == ys
     assert [field.entry(px, j) for j in range(n)] == xs
+    adds = [field.adder(py, uses) for uses in (1, _TABLE_ROWS)]
     for a in coeffs:
         assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
-        row = field.axpy(px, a, py)
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
+        rows = [add(px, a) for add in adds]
+        assert rows[0] == rows[1]
+        row = rows[0]
         assert unpack(row, n) == sums
         assert [field.entry(row, j) for j in range(n)] == sums
         assert unpack(field.scale(row, a), n) == [field.mul(a, x)
@@ -142,6 +141,53 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
         assert _echelon(list(rows), field, ncols) == pivots
         assert _row_reduce(rows, field, ncols) == pivots
         assert [field.unpack(row, ncols) for row in rows] == rref
+
+
+def _counting_adder(field, uses_seen):
+    """A fresh copy of `field` whose row updates record their `uses`."""
+    field = parse_field(str(field))
+    adder = field.adder
+
+    def counted(other, uses):
+        uses_seen.append(uses)
+        return adder(other, uses)
+
+    field.adder = counted
+    return field
+
+
+@pytest.mark.parametrize("field", [binary_field(k) for k in
+                                   (2, 4, 5, 8, 9, 13, 16)]
+                         + [SLOW_REDUCTION], ids=str)
+@pytest.mark.parametrize("nrows, tables", [(_TABLE_ROWS, False),
+                                           (_TABLE_ROWS + 1, True),
+                                           (3 * _TABLE_ROWS, True)])
+def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables):
+    # A pivot row updates at most nrows - 1 rows, so nrows = _TABLE_ROWS
+    # never builds product tables and one more row does; dense and sparse
+    # fills, on wide and tall matrices, both ways.
+    rng = SplitMix64(nrows * field.degree)
+    for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
+                              (nrows - 2, 0), (nrows - 2, 2)]:
+        codes = [[0 if rng.below(4) < zero_share else rng.below(field.order)
+                  for _ in range(ncols)] for _ in range(nrows)]
+        rref, pivots = scalar_rref(codes, field)
+        uses = []
+        counted = _counting_adder(field, uses)
+        rows = [counted.pack(row) for row in codes]
+        assert _echelon(list(rows), counted, ncols) == pivots
+        assert _row_reduce(rows, counted, ncols) == pivots
+        assert [counted.unpack(row, ncols) for row in rows] == rref
+        if zero_share == 0:
+            assert (max(uses) >= _TABLE_ROWS) == tables
+
+
+def test_a_clear_column_builds_no_update():
+    uses = []
+    field = _counting_adder(binary_field(16), uses)
+    rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
+    assert _row_reduce(rows, field, 40) == list(range(40))
+    assert uses == []
 
 
 def _square(field, n, fill, rng):

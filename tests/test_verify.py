@@ -1,17 +1,19 @@
 """Block verifier and its report."""
 
 import json
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from blockinv import verify
 from blockinv.construct import GeneratorConfig, generate
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError
 from blockinv.verify import (render_report, render_report_json,
                              report_as_dict, verify_blocks)
-from oracles import scalar_rref
+from oracles import SLOW_REDUCTION, scalar_rref
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -168,17 +170,104 @@ def test_repeated_blocks_match_per_block_oracle(field, p, kr, kc):
     (Matrix.identity(GF2, 8), 2),
 ], ids=["gf256-generated", "gf3-generated", "gf2-palette", "gf3-strip",
         "identity"])
-def test_each_distinct_block_is_ranked_once(monkeypatch, m, p):
-    ranked = []
-    rank = Matrix.rank
+def test_each_distinct_block_is_batched_once(monkeypatch, m, p):
+    batched, ranked = [], []
+    invertible, rank = verify._invertible, Matrix.rank
+
+    def batch(blocks, field, size):
+        batched.extend(blocks)
+        return invertible(blocks, field, size)
 
     def counted(self):
-        ranked.append(self.nrows)
+        ranked.append((self.nrows, self.ncols))
         return rank(self)
 
+    monkeypatch.setattr(verify, "_invertible", batch)
     monkeypatch.setattr(Matrix, "rank", counted)
     rep = verify_blocks(m, p)
-    assert ranked.count(p) == rep.distinct_blocks
-    assert len(ranked) == rep.distinct_blocks + m.is_square
+    blocks = {m.block(p, i, j)._rows for i in range(m.nrows // p)
+              for j in range(m.ncols // p)}
+    assert len(batched) == len(set(batched)) == rep.distinct_blocks
+    assert set(batched) == blocks
+    assert ranked == ([(m.nrows, m.ncols)] if m.is_square else [])
     assert rep.distinct_blocks < (m.nrows // p) * (m.ncols // p)
 
+
+BATCH_FIELDS = (GF2, GF3, prime_field(65521), binary_field(8),
+                binary_field(16), SLOW_REDUCTION)
+
+
+def random_block(field, p, rnd, sparse):
+    """p x p rows of codes; three entries in four are zero when sparse."""
+    return tuple(tuple(0 if sparse and rnd.randrange(4) else
+                       rnd.randrange(field.order) for _ in range(p))
+                 for _ in range(p))
+
+
+def singular_block(field, p, rnd):
+    """A random p x p block whose last row is a multiple of its first
+    (for p = 1, the zero block)."""
+    rows = list(random_block(field, p, rnd, False))
+    c = rnd.randrange(field.order)
+    rows[-1] = tuple(field.mul(c, x) for x in rows[0]) if p > 1 else (0,)
+    return tuple(rows)
+
+
+def grid_matrix(field, blocks, kc):
+    """The matrix whose p x p blocks, row-major on a grid kc wide, are
+    `blocks`."""
+    p = len(blocks[0])
+    return Matrix(field, [sum((b[r] for b in blocks[i:i + kc]), ())
+                          for i in range(0, len(blocks), kc)
+                          for r in range(p)])
+
+
+def assert_exact_verdicts(m, p, blocks, kc):
+    """verify_blocks agrees with rank and with inverse() on every block."""
+    rep = verify_blocks(m, p)
+    verdicts = [v for row in rep.block_verdicts for v in row]
+    assert len(verdicts) == len(blocks)
+    for verdict, rows in zip(verdicts, blocks):
+        block = Matrix(m.field, rows)
+        assert verdict == (block.rank() == p) == invertible_by_inverse(block)
+    assert rep.failing_blocks == tuple(
+        divmod(k, kc) for k, v in enumerate(verdicts) if not v)
+    return rep
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=str)
+@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kr, kc", [(4, 4), (3, 5)], ids=["square", "wide"])
+def test_batched_verdicts_are_exact(field, p, sparse, kr, kc):
+    # sparse blocks make the per-block pivot swaps and the columns with no
+    # pivot; every fourth position holds a planted singular block
+    rnd = random.Random(f"{field} {p} {sparse} {kr}")
+    blocks = [singular_block(field, p, rnd) if k % 4 == 1 else
+              random_block(field, p, rnd, sparse) for k in range(kr * kc)]
+    rep = assert_exact_verdicts(grid_matrix(field, blocks, kc), p, blocks, kc)
+    assert not rep.is_block_invertible
+
+
+@pytest.mark.parametrize("field, p", [(prime_field(65521), 2),
+                                      (binary_field(16), 3), (GF3, 3),
+                                      (SLOW_REDUCTION, 2)], ids=str)
+@pytest.mark.parametrize("count", [verify._BATCH - 1, verify._BATCH,
+                                   verify._BATCH + 1],
+                         ids=["batch-1", "batch", "batch+1"])
+def test_verdicts_across_batch_boundaries(field, p, count):
+    # all blocks distinct, so block k is decided in batch k // _BATCH;
+    # the planted singular blocks sit on both sides of each boundary, and
+    # the grid is the most nearly square one that count fills
+    kc = next(d for d in range(math.isqrt(count), 0, -1) if count % d == 0)
+    rnd = random.Random(count * p)
+    planted = {0, count - 2, count - 1, verify._BATCH - 1, verify._BATCH}
+    blocks, seen = [], set()
+    while len(blocks) < count:
+        b = (singular_block(field, p, rnd) if len(blocks) in planted else
+             random_block(field, p, rnd, False))
+        if b not in seen:
+            seen.add(b)
+            blocks.append(b)
+    rep = assert_exact_verdicts(grid_matrix(field, blocks, kc), p, blocks, kc)
+    assert rep.distinct_blocks == count
