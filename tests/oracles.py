@@ -6,8 +6,12 @@ rows: entries are lists of codes and every operation is a scalar
 updates cannot hide in both sides. `decomposition_check` decides whether
 a rank decomposition is valid, using the library's own algebra.
 `SLOW_REDUCTION` is the field whose packed rows are slowest to read.
+`zeros` builds a zero matrix. `fixed_free_count` and `two_block_count`
+are exact counts that enumeration checks at small sizes and that stand
+in for it beyond them.
 """
 
+from blockinv.construct import gl_count
 from blockinv.decompose import RankDecomposition, rank_normal_form
 from blockinv.field import _is_irreducible, binary_field
 from blockinv.matrix import Matrix, SingularMatrixError
@@ -77,3 +81,42 @@ def decomposition_check(s: Matrix, d: RankDecomposition) -> bool:
     if d.rank != s.rank():
         return False
     return d.left @ rank_normal_form(s.field, s.nrows, d.rank) @ d.right == s
+
+
+def zeros(field, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols zero matrix over `field`."""
+    return Matrix(field, [[0] * ncols] * nrows)
+
+
+def _gaussian_binomial(p: int, k: int, q: int) -> int:
+    """[p choose k]_q, the number of k-dimensional subspaces of GF(q)^p."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (p - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def fixed_free_count(p: int, q: int) -> int:
+    """N(p, q) = #{E in GL(p, q) : E - I in GL(p, q)}.
+
+    Moebius inversion over the subspaces that E fixes pointwise:
+    N = sum_k (-1)^k q^(k(k-1)/2) [p choose k]_q q^(k(p-k)) |GL(p-k, q)|,
+    where q^(k(p-k)) |GL(p-k, q)| counts the E in GL(p, q) that fix a
+    given k-dimensional subspace pointwise.
+    """
+    return sum((-1) ** k * q ** (k * (k - 1) // 2)
+               * _gaussian_binomial(p, k, q) * q ** (k * (p - k))
+               * (gl_count(p - k, q) if k < p else 1)
+               for k in range(p + 1))
+
+
+def two_block_count(p: int, q: int) -> int:
+    """The number of (2p, p) block invertible squares over GF(q).
+
+    [[A, B], [C, D]] with A, B, C, D in GL(p, q) is invertible iff
+    D - C A^-1 B is. C -> C A^-1 B is a bijection of GL(p, q), and
+    writing D = C A^-1 B E turns the condition into E - I in GL(p, q),
+    so the count is |GL(p, q)|^3 N(p, q).
+    """
+    return gl_count(p, q) ** 3 * fixed_free_count(p, q)

@@ -21,7 +21,7 @@ from blockinv.matrixfile import JSON, TEXT, dump, load
 from blockinv.rng import SplitMix64
 from blockinv.verify import verify_blocks
 
-from oracles import decomposition_check
+from oracles import decomposition_check, zeros
 
 FIELDS = [prime_field(2), prime_field(3), prime_field(5), prime_field(257),
           binary_field(4), binary_field(8)]
@@ -141,7 +141,7 @@ def test_criterion_6_rank_decomposition_property():
                            for _ in range(n)])
             b = Matrix(f, [[rnd.randrange(f.order) for _ in range(n)]
                            for _ in range(max(r, 1))])
-            s = a @ b if r else Matrix.zeros(f, n, n)
+            s = a @ b if r else zeros(f, n, n)
         else:
             s = Matrix(f, [[rnd.randrange(f.order) for _ in range(n)]
                            for _ in range(n)])

@@ -20,7 +20,7 @@ from blockinv.matrix import Matrix
 from blockinv.rng import SplitMix64
 from blockinv.verify import verify_blocks
 
-from oracles import scalar_rref
+from oracles import fixed_free_count, scalar_rref, two_block_count, zeros
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -97,7 +97,7 @@ def test_rank_bounds():
 # ----------------------------------------------------------------------
 
 def test_completion_of_zero_corner():
-    w, corner = corner_completion(Matrix.zeros(GF2, 2, 2))
+    w, corner = corner_completion(zeros(GF2, 2, 2))
     assert w == Matrix.identity(GF2, 2)
     assert corner == Matrix.identity(GF2, 2)
 
@@ -175,13 +175,13 @@ def test_extend_rejects_bad_input():
     with pytest.raises(NotBlockInvertibleError):
         extend(Matrix.identity(GF2, 4), 2)  # off-diagonal blocks singular
     with pytest.raises(NotBlockInvertibleError):
-        extend(Matrix.zeros(GF2, 2, 2), 2)  # whole matrix singular
+        extend(zeros(GF2, 2, 2), 2)  # whole matrix singular
     with pytest.raises(ValueError, match="does not divide"):
         extend(Matrix.identity(GF2, 4), 3)
     with pytest.raises(ValueError, match="at least 2"):
         extend(Matrix.identity(GF2, 4), 1)
     with pytest.raises(ValueError):
-        extend(Matrix.zeros(GF2, 2, 3), 2)  # not square
+        extend(zeros(GF2, 2, 3), 2)  # not square
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=str)
@@ -341,7 +341,7 @@ def test_generate_equals_folded_extend(p, strip):
 @pytest.mark.parametrize("bad", ["corner", "w"])
 def test_generate_rejects_singular_completion(monkeypatch, bad):
     def broken(s):
-        zero = Matrix.zeros(s.field, s.nrows, s.ncols)
+        zero = zeros(s.field, s.nrows, s.ncols)
         ident = Matrix.identity(s.field, s.nrows)
         return (zero, ident) if bad == "w" else (ident, zero)
 
@@ -608,6 +608,38 @@ def test_gl_count_validation():
     assert gl_count(2, 8) == (64 - 1) * (64 - 8)  # prime power accepted
     with pytest.raises(ValueError, match="below 2"):
         gl_count(1, 1 << 64)
+
+
+@pytest.mark.parametrize("p, field, expected", [
+    (1, GF2, 0), (2, GF2, 2), (3, GF2, 48), (2, GF3, 27), (4, GF2, 5824)],
+    ids=str)
+def test_fixed_free_count_matches_enumeration(p, field, expected):
+    # every E in GL(p) whose E - I is invertible too
+    minus_one = field.neg(1)
+    found = 0
+    for rows in itertools.product(itertools.product(range(field.order),
+                                                    repeat=p), repeat=p):
+        if Matrix(field, rows).rank() == p:
+            shifted = [[field.add(x, minus_one) if i == j else x
+                        for j, x in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            found += Matrix(field, shifted).rank() == p
+    assert found == fixed_free_count(p, field.order) == expected
+
+
+def test_two_block_count_matches_enumeration():
+    # all 6^4 choices of the four blocks of a 4 x 4 over GF(2) from GL(2)
+    gl2 = [Matrix(GF2, rows) for rows in itertools.product(
+        itertools.product(range(2), repeat=2), repeat=2)
+        if Matrix(GF2, rows).rank() == 2]
+    found = sum(Matrix.from_blocks([[a, b], [c, d]]).rank() == 4
+                for a, b, c, d in itertools.product(gl2, repeat=4))
+    assert found == two_block_count(2, 2) == 432
+
+
+def test_two_block_count_pins():
+    assert two_block_count(2, 3) == 2_985_984
+    assert two_block_count(4, 2) == 47_719_177_519_104_000
 
 
 def _trial_division_prime_power(q):

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from blockinv import field as field_module
 from blockinv.decompose import rank_decompose
-from blockinv.field import _TABLE_ROWS, binary_field, parse_field, prime_field
+from blockinv.field import (_SHORT_ROW, _shift_xor, binary_field, parse_field,
+                            prime_field)
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
@@ -15,6 +17,9 @@ from oracles import (SLOW_REDUCTION, decomposition_check, scalar_matmul,
 
 KERNEL_FIELDS = (prime_field(2), prime_field(3), prime_field(65521),
                  binary_field(8), binary_field(8, 0x11D), binary_field(16))
+#: GF(2^k) for each slot width and for a partial top 4-bit window.
+EXTENSION_FIELDS = [binary_field(k) for k in (2, 4, 5, 8, 9, 13, 16)] + [
+    SLOW_REDUCTION]
 
 #: sha256 of `_kernel_records()`. Results must stay byte-identical across
 #: refactors of the kernel, so any change in pivot order or arithmetic
@@ -69,27 +74,45 @@ def test_kernel_digest_is_pinned():
 
 def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
-    an update returns, which a packed form may leave unreduced, with the
-    update made for one use and for enough uses to build product tables;
-    then the same on short rows cut from xs and ys."""
+    an update returns, which a packed form may leave unreduced; over
+    characteristic 2 an update must give the bits of the shift-XOR
+    product on either path. Then the same on rows cut from xs and ys,
+    alternately _SHORT_ROW and _SHORT_ROW + 1 entries long, on both
+    sides of the GF(2^k) path choice."""
     pack, unpack, n = field.pack, field.unpack, len(xs)
     px, py = pack(xs), pack(ys)
     assert unpack(px, n) == xs and unpack(py, n) == ys
     assert [field.entry(px, j) for j in range(n)] == xs
-    adds = [field.adder(py, uses) for uses in (1, _TABLE_ROWS)]
+    add = field.adder(py)
     for a in coeffs:
         assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
-        rows = [add(px, a) for add in adds]
-        assert rows[0] == rows[1]
-        row = rows[0]
+        row = add(px, a)
+        if field.characteristic == 2:
+            assert row == _shift_xor(py, px, a)
         assert unpack(row, n) == sums
         assert [field.entry(row, j) for j in range(n)] == sums
         assert unpack(field.scale(row, a), n) == [field.mul(a, x)
                                                   for x in sums]
-    if n > 7:
-        for i in range(0, n, 7):
-            _check_row_ops(field, coeffs, xs[i:i + 7], ys[i:i + 7])
+    if n > _SHORT_ROW + 1:
+        step = 2 * _SHORT_ROW + 1
+        for i in range(0, n, step):
+            for lo, hi in ((i, i + _SHORT_ROW), (i + _SHORT_ROW, i + step)):
+                if lo < n:
+                    _check_row_ops(field, coeffs, xs[lo:hi], ys[lo:hi])
+
+
+@pytest.fixture
+def shift_xors(monkeypatch):
+    """The `other` of each shift-XOR product the fields compute."""
+    calls = []
+
+    def counted(other, row, a):
+        calls.append(other)
+        return _shift_xor(other, row, a)
+
+    monkeypatch.setattr(field_module, "_shift_xor", counted)
+    return calls
 
 
 @pytest.mark.parametrize("field, width", [
@@ -126,6 +149,32 @@ def test_row_ops_match_scalar_ops_on_samples(field):
     _check_row_ops(field, coeffs, xs, ys)
 
 
+@pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
+@pytest.mark.parametrize("slots", [_SHORT_ROW, _SHORT_ROW + 1])
+def test_row_length_picks_the_path(field, slots, shift_xors):
+    # Rows whose last entry is nonzero span exactly `slots` slots. Up to
+    # _SHORT_ROW, an update runs the shift-XOR product and a scale works
+    # slot by slot; one slot more, an update reads product tables and a
+    # scale runs one shift-XOR product.
+    rng = SplitMix64(slots * field.degree)
+    q = field.order
+    xs, ys = ([rng.below(q) for _ in range(slots - 1)] + [1 + rng.below(q - 1)]
+              for _ in range(2))
+    short = slots <= _SHORT_ROW
+    px, add = field.pack(xs), field.adder(field.pack(ys))
+    for a in [0, 1, q - 1] + [rng.below(q) for _ in range(20)]:
+        shift_xors.clear()
+        row = add(px, a)
+        assert len(shift_xors) == short
+        sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
+        assert field.unpack(row, slots) == sums
+        assert [field.entry(row, j) for j in range(slots)] == sums
+        shift_xors.clear()
+        assert field.unpack(field.scale(px, a), slots) == [field.mul(a, x)
+                                                           for x in xs]
+        assert len(shift_xors) == (not short)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_reduced_rows_match_scalar_gauss_jordan(field):
     # the whole reduced form, pivot columns included: outputs read only
@@ -143,51 +192,65 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
         assert [field.unpack(row, ncols) for row in rows] == rref
 
 
-def _counting_adder(field, uses_seen):
-    """A fresh copy of `field` whose row updates record their `uses`."""
+def _recording_adder(field, made, shift_xors):
+    """A fresh copy of `field` whose row updates record themselves: each
+    update made appends (slots of its fixed row, paths) to `made`, and
+    each time it is applied, paths gets whether it ran a shift-XOR
+    product (counted in `shift_xors`)."""
     field = parse_field(str(field))
     adder = field.adder
+    slot_bits = field.pack([0, 1]).bit_length() - 1
 
-    def counted(other, uses):
-        uses_seen.append(uses)
-        return adder(other, uses)
+    def recorded(other):
+        add, paths = adder(other), []
+        made.append((-(-other.bit_length() // slot_bits), paths))
 
-    field.adder = counted
+        def applied(row, a):
+            before = len(shift_xors)
+            row = add(row, a)
+            paths.append(len(shift_xors) > before)
+            return row
+        return applied
+
+    field.adder = recorded
     return field
 
 
-@pytest.mark.parametrize("field", [binary_field(k) for k in
-                                   (2, 4, 5, 8, 9, 13, 16)]
-                         + [SLOW_REDUCTION], ids=str)
-@pytest.mark.parametrize("nrows, tables", [(_TABLE_ROWS, False),
-                                           (_TABLE_ROWS + 1, True),
-                                           (3 * _TABLE_ROWS, True)])
-def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables):
-    # A pivot row updates at most nrows - 1 rows, so nrows = _TABLE_ROWS
-    # never builds product tables and one more row does; dense and sparse
-    # fills, on wide and tall matrices, both ways.
+@pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
+@pytest.mark.parametrize("nrows, tables", [(16, False), (17, True),
+                                           (48, True)])
+def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
+                                                shift_xors):
+    # Rows of _SHORT_ROW columns for the 16-row case and one column more
+    # for the others, in tall nrows-row and wide matrices, dense and
+    # sparse, reduced both ways. Every update takes the path that its
+    # pivot row's length picks, and a dense matrix reads product tables
+    # exactly when its rows are long.
+    ncols = _SHORT_ROW + tables
     rng = SplitMix64(nrows * field.degree)
-    for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
-                              (nrows - 2, 0), (nrows - 2, 2)]:
+    for height, zero_share in [(nrows, 0), (nrows, 3), (ncols - 2, 0),
+                               (ncols - 2, 2)]:
         codes = [[0 if rng.below(4) < zero_share else rng.below(field.order)
-                  for _ in range(ncols)] for _ in range(nrows)]
+                  for _ in range(ncols)] for _ in range(height)]
         rref, pivots = scalar_rref(codes, field)
-        uses = []
-        counted = _counting_adder(field, uses)
-        rows = [counted.pack(row) for row in codes]
-        assert _echelon(list(rows), counted, ncols) == pivots
-        assert _row_reduce(rows, counted, ncols) == pivots
-        assert [counted.unpack(row, ncols) for row in rows] == rref
+        made = []
+        recorded = _recording_adder(field, made, shift_xors)
+        rows = [recorded.pack(row) for row in codes]
+        assert _echelon(list(rows), recorded, ncols) == pivots
+        assert _row_reduce(rows, recorded, ncols) == pivots
+        assert [recorded.unpack(row, ncols) for row in rows] == rref
+        for slots, paths in made:
+            assert paths and set(paths) == {slots <= _SHORT_ROW}
         if zero_share == 0:
-            assert (max(uses) >= _TABLE_ROWS) == tables
+            assert any(slots > _SHORT_ROW for slots, _ in made) == tables
 
 
 def test_a_clear_column_builds_no_update():
-    uses = []
-    field = _counting_adder(binary_field(16), uses)
+    made = []
+    field = _recording_adder(binary_field(16), made, [])
     rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
     assert _row_reduce(rows, field, 40) == list(range(40))
-    assert uses == []
+    assert made == []
 
 
 def _square(field, n, fill, rng):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import FieldMismatchError, Matrix, SingularMatrixError
 
+from oracles import zeros
+
 GF2 = prime_field(2)
 GF3 = prime_field(3)
 GF5 = prime_field(5)
@@ -46,8 +48,8 @@ def test_gf2_product_by_hand():
 def test_zero_annihilates():
     rnd = random.Random(1)
     m = random_matrix(GF3, 2, 4, rnd)
-    z = Matrix.zeros(GF3, 2, 2)
-    assert (z @ m) == Matrix.zeros(GF3, 2, 4)
+    z = zeros(GF3, 2, 2)
+    assert (z @ m) == zeros(GF3, 2, 4)
 
 
 def test_add_and_shape_errors():
@@ -102,9 +104,9 @@ def test_gf2_inverse_by_hand():
 
 def test_singular_and_nonsquare():
     with pytest.raises(SingularMatrixError):
-        Matrix.zeros(GF2, 2, 2).inverse()
+        zeros(GF2, 2, 2).inverse()
     with pytest.raises(ValueError):
-        Matrix.zeros(GF2, 2, 3).inverse()
+        zeros(GF2, 2, 3).inverse()
 
 
 def test_thousand_random_inverses():
@@ -119,7 +121,7 @@ def test_thousand_random_inverses():
 
 def test_rank_examples():
     assert Matrix.identity(GF2, 4).rank() == 4
-    assert Matrix.zeros(GF5, 3, 5).rank() == 0
+    assert zeros(GF5, 3, 5).rank() == 0
     assert Matrix(GF2, [[1, 1], [1, 1]]).rank() == 1
 
 
@@ -136,7 +138,7 @@ def test_rank_of_forced_deficient_product():
     for _ in range(50):
         r = rnd.randrange(0, 4)
         if r == 0:
-            assert Matrix.zeros(GF3, 5, 5).rank() == 0
+            assert zeros(GF3, 5, 5).rank() == 0
             continue
         a = random_matrix(GF3, 5, r, rnd)
         b = random_matrix(GF3, r, 5, rnd)
@@ -153,8 +155,8 @@ def test_kron_with_identity_is_block_diagonal():
     k = Matrix.identity(GF5, 2).kron(b)
     assert k.block(2, 0, 0) == b
     assert k.block(2, 1, 1) == b
-    assert k.block(2, 0, 1) == Matrix.zeros(GF5, 2, 2)
-    assert k.block(2, 1, 0) == Matrix.zeros(GF5, 2, 2)
+    assert k.block(2, 0, 1) == zeros(GF5, 2, 2)
+    assert k.block(2, 1, 0) == zeros(GF5, 2, 2)
 
 
 def test_kron_gf3_example():
@@ -205,7 +207,7 @@ def test_kron_invertibility_exhaustive_gf2():
 def test_block_get_on_identity():
     i4 = Matrix.identity(GF2, 4)
     assert i4.block(2, 0, 0) == Matrix.identity(GF2, 2)
-    assert i4.block(2, 0, 1) == Matrix.zeros(GF2, 2, 2)
+    assert i4.block(2, 0, 1) == zeros(GF2, 2, 2)
 
 
 def test_block_errors():

@@ -13,7 +13,7 @@ from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError
 from blockinv.verify import (render_report, render_report_json,
                              report_as_dict, verify_blocks)
-from oracles import SLOW_REDUCTION, scalar_rref
+from oracles import SLOW_REDUCTION, scalar_rref, zeros
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -76,7 +76,7 @@ def invertible_by_inverse(m):
 def test_verdicts_agree_with_inverse():
     fixtures = [
         Matrix.identity(GF2, 4),
-        Matrix.zeros(GF3, 4, 4),
+        zeros(GF3, 4, 4),
         generate(GeneratorConfig(n=8, p=2, field=GF2, seed=5)),
         generate(GeneratorConfig(n=9, p=3, field=GF16, seed=6)),
         Matrix(GF3, generate(GeneratorConfig(n=6, p=2, field=GF3,
