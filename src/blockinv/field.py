@@ -13,10 +13,11 @@ the matrix algebra is written in. Rows are handled packed: `pack` turns
 a row of codes into the field's packed row, `unpack` turns it back,
 `entry` reads one entry, `scale(row, a) = a*row` works on a packed row,
 and the one row update takes its fixed operand first:
-`add = adder(other)` returns `add(row, a) = row + a*other`. All of them
-are chosen together at construction by one arm per field kind, so
-neither the field nor any caller branches on the kind per operation,
-and no caller sees a packed form:
+`add = adder(other, uses)` returns `add(row, a) = row + a*other`, to be
+applied to about `uses` rows. All of them are chosen together at
+construction by one arm per field kind, so neither the field nor any
+caller branches on the kind per operation, and no caller sees a packed
+form:
 
     GF(2)      one int per row, bit j for column j; an update is an XOR.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
@@ -29,17 +30,16 @@ and no caller sees a packed form:
                slot unreduced; `entry`, `scale` and `unpack` reduce it
                mod the modulus.
 
-Over GF(2^k) both row operations pick their path by comparing the length
-of the row they multiply, in slots up to its last nonzero one, with
-_SHORT_ROW. On a row of at most _SHORT_ROW slots, `adder` XORs in one
-shifted copy of `other` per set bit of a (shift-XOR), and `scale`
-reduces and multiplies slot by slot through the log/exp tables. On a
-longer row, `scale` reduces all slots at once around one shift-XOR
-product, and `adder` first builds product tables (the Newton-John tables
-of M4RIE: Albrecht, ISSAC 2012): for each 4-bit window of a scalar, the
-16 carry-less multiples d*other shifted into that window, so an update
-is one lookup and XOR per window, ceil(k/4) in all, whatever the bits of
-a. Either path of each gives the same bits.
+A GF(2^k) update forms a*other in one of two ways, with the same result.
+For fewer than _TABLE_ROWS uses it XORs one shifted copy of `other` per
+set bit of a (`_shift_xor`). For more, `adder` first builds product
+tables (the Newton-John tables of M4RIE: Albrecht, ISSAC 2012): for each
+4-bit window of a scalar, the 16 carry-less multiples d*other shifted
+into that window, so an update is one lookup and XOR per window,
+ceil(k/4) in all, whatever the bits of a. Both ways cost time in
+proportion to the row's length, so only the number of rows that share
+the tables decides whether they pay off, and only the caller knows that
+number in advance.
 
 A GF(p) slot never borrows, because every factor is a canonical code in
 0..p-1, and never carries into the next slot: if every row added is
@@ -51,7 +51,7 @@ most once per pivot, and a product once per inner index.
 A GF(2^k) slot cannot overflow at all. With `other` canonical, its
 slots are below 2^k and are shifted by at most k-1, so each copy stays
 below 2^(2k-1) inside its own slot; XOR has no carry, so any number of
-updates keeps every slot below 2^(2k-1) <= 2^w. Reduction rests on
+updates keeps every slot below 2^(2k-1) <= 2^w. Reduction uses
 x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
 hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
 repeating it leaves the canonical code. `unpack`, and `scale` on a
@@ -102,9 +102,11 @@ BINARY = "binary"
 MAX_PRIME = 1 << 16
 #: A GF(p) packed row holds one entry per 64-bit slot.
 _SLOT_MASK = (1 << 64) - 1
-#: A GF(2^k) row of at most this many slots is scaled entry by entry,
-#: and a row update by it builds no product tables.
+#: A GF(2^k) row of at most this many slots is scaled entry by entry.
 _SHORT_ROW = 8
+#: A GF(2^k) row update applied to at least this many rows builds
+#: product tables for its fixed operand first.
+_TABLE_ROWS = 16
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
 
@@ -194,7 +196,8 @@ class FieldSpec:
     The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
     packed-row conversions `pack(codes)`, `unpack(row, n)` and
     `entry(row, j)`, and the row operations `scale(row, a)` and
-    `adder(other)` are its arithmetic, bound once by `_arithmetic`.
+    `adder(other, uses)` are its arithmetic, bound once by
+    `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
@@ -303,11 +306,10 @@ def _arithmetic(field: FieldSpec) -> dict:
     `pack(codes)` turns a row of codes into the arm's packed row and
     `unpack(row, n)` turns a packed row of n entries back into a list of
     canonical codes; `entry(row, j)` reads entry j as a canonical code.
-    scale(row, a) is a*row with canonical entries. adder(other) takes a
-    canonical row `other` (scaled, or fresh from `pack`) and returns
-    add(row, a), which is row + a*other for a canonical code a; over
-    GF(2^k) it picks its path from the slots of `other`, as `scale` does
-    from the slots of `row`. Both take and return packed
+    scale(row, a) is a*row with canonical entries. adder(other, uses)
+    takes a canonical row `other` (scaled, or fresh from `pack`) and the
+    number of rows it is about to update, and returns add(row, a), which
+    is row + a*other for a canonical code a. Both take and return packed
     rows and never modify their arguments. Over GF(p) and GF(2^k) the
     row `add` returns may hold unreduced slots, which only `entry`,
     `scale` and `unpack` read (see the module docstring for why no slot
@@ -340,7 +342,7 @@ def _arithmetic(field: FieldSpec) -> dict:
         def scale(row, a):
             return row if a else 0
 
-        def adder(other):
+        def adder(other, uses):
             def add(row, a):
                 return row ^ other if a else row
             return add
@@ -383,7 +385,7 @@ def _arithmetic(field: FieldSpec) -> dict:
             return pack([x * a % p for x in
                          unpack(row, (row.bit_length() + 63) >> 6)])
 
-        def adder(other):
+        def adder(other, uses):
             def add(row, a):
                 return row + a * other
             return add
@@ -467,8 +469,8 @@ def _arithmetic(field: FieldSpec) -> dict:
         x = row >> (j * w) & slot
         return x if x < q else x & low ^ exp[log[x >> k] + log_r]
 
-    def adder(other):
-        if -(-other.bit_length() // w) <= _SHORT_ROW:
+    def adder(other, uses):
+        if uses < _TABLE_ROWS:
             return partial(_shift_xor, other)
         # tables[i][d] = d*other shifted into the i-th 4-bit window of a
         # scalar, built by doubling: each bit of d adds a shifted copy.

@@ -7,15 +7,17 @@ see plain codes.
 
 Arithmetic on rows runs on the field's packed rows: an operation packs
 its operand rows with `pack`, works on them with `scale(row, a) = a*row`
-and the one row update, `add = adder(other)` with
+and the one row update, `add = adder(other, uses)` with
 `add(row, a) = row + a*other`, reads entries with `entry` and unpacks
-its result with `unpack` (see field.py for each field's packed form, and
-for how the length of `other` picks an update's path). This module never
-branches on the field kind. An update is made once per fixed operand
-and applied to every row it updates: elimination makes one per pivot
-row, at the first row it clears, and a product makes one per row of its
-right factor and unpacks once per output row. The Kronecker product
-scales rows, and addition adds codes with the scalar `add`.
+its result with `unpack` (see field.py for each field's packed form).
+This module never branches on the field kind. An update is made once
+per fixed operand, told how many rows it may update, and applied to all
+of them, so over GF(2^k) it builds product tables only when enough rows
+share them. Elimination makes one per pivot row, at the first row it
+clears, for the rows left from there on. A product makes one per row of
+its right factor, for the nonzero entries of the matching left column,
+and unpacks once per output row. The Kronecker product scales rows, and
+addition adds codes with the scalar `add`.
 
 Elimination is one forward pass, `_echelon`: it normalises each pivot
 row with scale and eliminates below the pivot only. `rank()` runs that
@@ -50,7 +52,8 @@ def _clear(rows: list, targets: range, c: int, prow: int,
     column c of every target becomes zero.
 
     One update serves them all. It is made at the first target with a
-    nonzero entry, so a column that is already clear builds nothing.
+    nonzero entry, for the targets from there on, so a column that is
+    already clear builds nothing.
     """
     entry, neg = field.entry, field.neg
     add = None
@@ -58,7 +61,7 @@ def _clear(rows: list, targets: range, c: int, prow: int,
         f = entry(rows[i], c)
         if f:
             if add is None:
-                add = field.adder(prow)
+                add = field.adder(prow, targets.stop - i)
             rows[i] = add(rows[i], neg(f))
 
 
@@ -221,7 +224,7 @@ class Matrix:
         # i; a zero entry adds nothing
         acc = [f.pack((0,) * n)] * self.nrows
         for brow, col in zip(other._rows, zip(*self._rows)):
-            add = f.adder(f.pack(brow))
+            add = f.adder(f.pack(brow), self.nrows - col.count(0))
             acc = list(map(add, acc, col))
         return Matrix._new(f, tuple(tuple(f.unpack(x, n)) for x in acc))
 

@@ -7,8 +7,8 @@ import pytest
 
 from blockinv import field as field_module
 from blockinv.decompose import rank_decompose
-from blockinv.field import (_SHORT_ROW, _shift_xor, binary_field, parse_field,
-                            prime_field)
+from blockinv.field import (_SHORT_ROW, _TABLE_ROWS, _shift_xor, binary_field,
+                            parse_field, prime_field)
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
@@ -74,32 +74,27 @@ def test_kernel_digest_is_pinned():
 
 def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
-    an update returns, which a packed form may leave unreduced; over
-    characteristic 2 an update must give the bits of the shift-XOR
-    product on either path. Then the same on rows cut from xs and ys,
-    alternately _SHORT_ROW and _SHORT_ROW + 1 entries long, on both
-    sides of the GF(2^k) path choice."""
+    an update returns, which a packed form may leave unreduced, with the
+    update made for one use and for enough uses to build product tables;
+    then the same on short rows cut from xs and ys."""
     pack, unpack, n = field.pack, field.unpack, len(xs)
     px, py = pack(xs), pack(ys)
     assert unpack(px, n) == xs and unpack(py, n) == ys
     assert [field.entry(px, j) for j in range(n)] == xs
-    add = field.adder(py)
+    adds = [field.adder(py, uses) for uses in (1, _TABLE_ROWS)]
     for a in coeffs:
         assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
-        row = add(px, a)
-        if field.characteristic == 2:
-            assert row == _shift_xor(py, px, a)
+        rows = [add(px, a) for add in adds]
+        assert rows[0] == rows[1]
+        row = rows[0]
         assert unpack(row, n) == sums
         assert [field.entry(row, j) for j in range(n)] == sums
         assert unpack(field.scale(row, a), n) == [field.mul(a, x)
                                                   for x in sums]
-    if n > _SHORT_ROW + 1:
-        step = 2 * _SHORT_ROW + 1
-        for i in range(0, n, step):
-            for lo, hi in ((i, i + _SHORT_ROW), (i + _SHORT_ROW, i + step)):
-                if lo < n:
-                    _check_row_ops(field, coeffs, xs[lo:hi], ys[lo:hi])
+    if n > 7:
+        for i in range(0, n, 7):
+            _check_row_ops(field, coeffs, xs[i:i + 7], ys[i:i + 7])
 
 
 @pytest.fixture
@@ -151,28 +146,30 @@ def test_row_ops_match_scalar_ops_on_samples(field):
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
 @pytest.mark.parametrize("slots", [_SHORT_ROW, _SHORT_ROW + 1])
-def test_row_length_picks_the_path(field, slots, shift_xors):
+def test_each_path_starts_past_its_boundary(field, slots, shift_xors):
     # Rows whose last entry is nonzero span exactly `slots` slots. Up to
-    # _SHORT_ROW, an update runs the shift-XOR product and a scale works
-    # slot by slot; one slot more, an update reads product tables and a
-    # scale runs one shift-XOR product.
+    # _SHORT_ROW slots a scale works slot by slot, and one slot more it
+    # runs one shift-XOR product. An update made for _TABLE_ROWS - 1 uses
+    # runs one shift-XOR product per call, and one made for _TABLE_ROWS
+    # uses reads product tables instead, on rows of either length.
     rng = SplitMix64(slots * field.degree)
     q = field.order
     xs, ys = ([rng.below(q) for _ in range(slots - 1)] + [1 + rng.below(q - 1)]
               for _ in range(2))
-    short = slots <= _SHORT_ROW
-    px, add = field.pack(xs), field.adder(field.pack(ys))
+    px, py = field.pack(xs), field.pack(ys)
+    adds = [field.adder(py, uses) for uses in (_TABLE_ROWS - 1, _TABLE_ROWS)]
     for a in [0, 1, q - 1] + [rng.below(q) for _ in range(20)]:
-        shift_xors.clear()
-        row = add(px, a)
-        assert len(shift_xors) == short
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
-        assert field.unpack(row, slots) == sums
-        assert [field.entry(row, j) for j in range(slots)] == sums
+        for add, tables in zip(adds, (False, True)):
+            shift_xors.clear()
+            row = add(px, a)
+            assert len(shift_xors) == (not tables)
+            assert field.unpack(row, slots) == sums
+            assert [field.entry(row, j) for j in range(slots)] == sums
         shift_xors.clear()
         assert field.unpack(field.scale(px, a), slots) == [field.mul(a, x)
                                                            for x in xs]
-        assert len(shift_xors) == (not short)
+        assert len(shift_xors) == (slots > _SHORT_ROW)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
@@ -192,65 +189,49 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
         assert [field.unpack(row, ncols) for row in rows] == rref
 
 
-def _recording_adder(field, made, shift_xors):
-    """A fresh copy of `field` whose row updates record themselves: each
-    update made appends (slots of its fixed row, paths) to `made`, and
-    each time it is applied, paths gets whether it ran a shift-XOR
-    product (counted in `shift_xors`)."""
+def _counting_adder(field, uses_seen):
+    """A fresh copy of `field` whose row updates record their `uses`."""
     field = parse_field(str(field))
     adder = field.adder
-    slot_bits = field.pack([0, 1]).bit_length() - 1
 
-    def recorded(other):
-        add, paths = adder(other), []
-        made.append((-(-other.bit_length() // slot_bits), paths))
+    def counted(other, uses):
+        uses_seen.append(uses)
+        return adder(other, uses)
 
-        def applied(row, a):
-            before = len(shift_xors)
-            row = add(row, a)
-            paths.append(len(shift_xors) > before)
-            return row
-        return applied
-
-    field.adder = recorded
+    field.adder = counted
     return field
 
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
-@pytest.mark.parametrize("nrows, tables", [(16, False), (17, True),
-                                           (48, True)])
-def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
-                                                shift_xors):
-    # Rows of _SHORT_ROW columns for the 16-row case and one column more
-    # for the others, in tall nrows-row and wide matrices, dense and
-    # sparse, reduced both ways. Every update takes the path that its
-    # pivot row's length picks, and a dense matrix reads product tables
-    # exactly when its rows are long.
-    ncols = _SHORT_ROW + tables
+@pytest.mark.parametrize("nrows, tables", [(_TABLE_ROWS, False),
+                                           (_TABLE_ROWS + 1, True),
+                                           (3 * _TABLE_ROWS, True)])
+def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables):
+    # A pivot row updates at most nrows - 1 rows, so nrows = _TABLE_ROWS
+    # never builds product tables and one more row does; dense and sparse
+    # fills, on wide and tall matrices, both ways.
     rng = SplitMix64(nrows * field.degree)
-    for height, zero_share in [(nrows, 0), (nrows, 3), (ncols - 2, 0),
-                               (ncols - 2, 2)]:
+    for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
+                              (nrows - 2, 0), (nrows - 2, 2)]:
         codes = [[0 if rng.below(4) < zero_share else rng.below(field.order)
-                  for _ in range(ncols)] for _ in range(height)]
+                  for _ in range(ncols)] for _ in range(nrows)]
         rref, pivots = scalar_rref(codes, field)
-        made = []
-        recorded = _recording_adder(field, made, shift_xors)
-        rows = [recorded.pack(row) for row in codes]
-        assert _echelon(list(rows), recorded, ncols) == pivots
-        assert _row_reduce(rows, recorded, ncols) == pivots
-        assert [recorded.unpack(row, ncols) for row in rows] == rref
-        for slots, paths in made:
-            assert paths and set(paths) == {slots <= _SHORT_ROW}
+        uses = []
+        counted = _counting_adder(field, uses)
+        rows = [counted.pack(row) for row in codes]
+        assert _echelon(list(rows), counted, ncols) == pivots
+        assert _row_reduce(rows, counted, ncols) == pivots
+        assert [counted.unpack(row, ncols) for row in rows] == rref
         if zero_share == 0:
-            assert any(slots > _SHORT_ROW for slots, _ in made) == tables
+            assert (max(uses) >= _TABLE_ROWS) == tables
 
 
 def test_a_clear_column_builds_no_update():
-    made = []
-    field = _recording_adder(binary_field(16), made, [])
+    uses = []
+    field = _counting_adder(binary_field(16), uses)
     rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
     assert _row_reduce(rows, field, 40) == list(range(40))
-    assert made == []
+    assert uses == []
 
 
 def _square(field, n, fill, rng):
