@@ -14,10 +14,13 @@ a row of codes into the field's packed row, `unpack` turns it back,
 `entry` reads one entry, `scale(row, a) = a*row` works on a packed row,
 and the one row update takes its fixed operand first:
 `add = adder(other, uses)` returns `add(row, a) = row + a*other`, to be
-applied to about `uses` rows. All of them are chosen together at
-construction by one arm per field kind, so neither the field nor any
-caller branches on the kind per operation, and no caller sees a packed
-form:
+applied to about `uses` rows. One more operation works on lanes, plain
+lists of codes with one entry per independent problem (verify.py decides
+many blocks at once this way): `add = lane_adder(gs)` returns
+`add(xs, ys) = [x + g*y for each lane]`, one list comprehension with no
+call per entry. All of them are chosen together at construction by one
+arm per field kind, so neither the field nor any caller branches on the
+kind per operation, and no caller sees a packed form:
 
     GF(2)      one int per row, bit j for column j; an update is an XOR.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
@@ -75,9 +78,17 @@ independent implementations agree byte-for-byte. For reference:
 Any other irreducible polynomial of the right degree may be passed in
 explicitly (e.g. the mask 0x11D for the Reed-Solomon flavour of GF(2^8)).
 The log/exp tables behind GF(2^k) products use the smallest generator of
-the multiplicative group, also derived: the walk that fills the tables
-tries g = 2, 3, ... and keeps the first g whose powers return to 1 only
-after 2^k - 1 steps.
+the multiplicative group, also derived: g = 2, 3, ... is tested by its
+order, g^((2^k - 1)/r) != 1 for each prime r dividing 2^k - 1, and one
+walk of the first g that passes fills the tables. (The default modulus
+is not always primitive: x has order 21845 under 0x1002B, and g = 3.)
+The tables are arrays of machine ints, 768 KB in all for GF(2^16), and
+boxed ints would take six times that: exp holds 16-bit codes, the powers
+g^0 .. g^(q-2) twice so that exp[log[a] + log[b]] needs no reduction,
+then zeros up to index 4(q-1); log holds 32-bit logs, with the sentinel
+log[0] = 2(q-1), which sends every sum with a zero factor into those
+zeros. So `mul`, `scale` and `lane_adder` read a product with no test
+for zero; `inv` still tests for it, and raises.
 
 Field notation used by files and the CLI: ``gf(p)`` for prime fields and
 ``gf(2^k;0xMASK)`` for binary fields (``gf(2^k)`` selects the default
@@ -195,14 +206,14 @@ class FieldSpec:
     their arguments, so a FieldSpec may be shared freely across threads.
     The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
     packed-row conversions `pack(codes)`, `unpack(row, n)` and
-    `entry(row, j)`, and the row operations `scale(row, a)` and
-    `adder(other, uses)` are its arithmetic, bound once by
-    `_arithmetic`.
+    `entry(row, j)`, the row operations `scale(row, a)` and
+    `adder(other, uses)`, and the lane update `lane_adder(gs)` are its
+    arithmetic, bound once by `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
                  "add", "neg", "mul", "inv", "pack", "unpack", "entry",
-                 "scale", "adder")
+                 "scale", "adder", "lane_adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -300,6 +311,38 @@ def _shift_xor(other: int, row: int, a: int) -> int:
     return row
 
 
+def _poly_pow(a: int, e: int, m: int) -> int:
+    """a^e modulo the GF(2) polynomial m, by square-and-multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mod(_shift_xor(a, 0, r), m)
+        a = _poly_mod(_shift_xor(a, 0, a), m)
+        e >>= 1
+    return r
+
+
+def _generator(k: int, m: int) -> int:
+    """The smallest generator of GF(2^k)* under the modulus m, k >= 2.
+
+    g generates the group of order n = 2^k - 1 exactly when
+    g^(n/r) != 1 for every prime r dividing n, so no candidate's powers
+    are walked.
+    """
+    n = (1 << k) - 1
+    primes, rest, d = [], n, 3  # n is odd
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 2
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(2, n + 1)
+                if all(_poly_pow(g, n // r, m) != 1 for r in primes))
+
+
 def _arithmetic(field: FieldSpec) -> dict:
     """The operations of `field` by name, one arm per kind.
 
@@ -313,7 +356,10 @@ def _arithmetic(field: FieldSpec) -> dict:
     rows and never modify their arguments. Over GF(p) and GF(2^k) the
     row `add` returns may hold unreduced slots, which only `entry`,
     `scale` and `unpack` read (see the module docstring for why no slot
-    overflows). inv(0) raises ZeroDivisionError.
+    overflows). lane_adder(gs) takes a list of canonical codes and
+    returns add(xs, ys), a new list of canonical codes x + g*y for equal
+    length lists xs and ys, lane by lane. inv(0) raises
+    ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
 
@@ -347,9 +393,14 @@ def _arithmetic(field: FieldSpec) -> dict:
                 return row ^ other if a else row
             return add
 
+        def lane_adder(gs):
+            def add(xs, ys):
+                return [x ^ (g & y) for x, g, y in zip(xs, gs, ys)]
+            return add
+
         return dict(add=operator.xor, neg=neg_self, mul=operator.and_,
                     inv=inv, pack=pack, unpack=unpack, entry=entry,
-                    scale=scale, adder=adder)
+                    scale=scale, adder=adder, lane_adder=lane_adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
@@ -390,46 +441,46 @@ def _arithmetic(field: FieldSpec) -> dict:
                 return row + a * other
             return add
 
+        def lane_adder(gs):
+            def add(xs, ys):
+                return [(x + g * y) % p for x, g, y in zip(xs, gs, ys)]
+            return add
+
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
-                    unpack=unpack, entry=entry, scale=scale, adder=adder)
+                    unpack=unpack, entry=entry, scale=scale, adder=adder,
+                    lane_adder=lane_adder)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
-    # tables w.r.t. the smallest generator, found by the walk that fills
-    # them: candidates g = 2, 3, ... write their powers into exp/log, and
-    # the first whose walk returns to 1 only after q - 1 steps generates
-    # GF(q)* and overwrites every entry. A candidate an earlier walk
-    # reached lies in a proper subgroup and is skipped. v*g is linear in
-    # v, so a step reads it off one table per byte of v. The exp table is
-    # doubled so exp[log[a] + log[b]] never needs a modular reduction.
+    # tables w.r.t. the smallest generator g, filled by one walk of its
+    # q - 1 powers; v*g is linear in v, so a step reads it off one table
+    # per byte of v. The tables are laid out as the module docstring
+    # says: exp doubled and then zero-padded, log[0] the zero sentinel.
+    # `array` is imported here, so GF(2) and GF(p) runs never load it.
+    from array import array
+
     k, q, m = field.degree, field.order, field.modulus
-    exp = [0] * (2 * (q - 1))
-    log = [0] * q
-    for g in range(2, q):
-        if log[g]:
-            continue
-        # lo[c] = c*g and hi[c] = (c << 8)*g: bit b of v adds t = g*x^b
-        lo, hi, t = [0], [0], g
-        for b in range(k):
-            half = lo if b < 8 else hi
-            half += [x ^ t for x in half]
-            t <<= 1
-            if t >> k:
-                t ^= m
-        v, i = 1, 0
-        while True:
-            exp[i] = exp[i + q - 1] = v
-            log[v] = i
-            v = lo[v & 255] ^ hi[v >> 8]
-            i += 1
-            if v == 1:
-                break
-        if i == q - 1:
-            break
-    else:
-        raise AssertionError(f"no generator of GF({q}) for modulus 0x{m:x}")
+    n = q - 1
+    g = _generator(k, m)
+    # lo[c] = c*g and hi[c] = (c << 8)*g: bit b of v adds t = g*x^b
+    lo, hi, t = [0], [0], g
+    for b in range(k):
+        half = lo if b < 8 else hi
+        half += [x ^ t for x in half]
+        t <<= 1
+        if t >> k:
+            t ^= m
+    exp = array("H", bytes(2 * (4 * n + 1)))
+    log = array("I", bytes(4 * q))
+    v = 1
+    for i in range(n):
+        exp[i] = v
+        log[v] = i
+        v = lo[v & 255] ^ hi[v >> 8]
+    exp[n:2 * n] = exp[:n]
+    log[0] = 2 * n
 
     def mul(a, b):
-        return exp[log[a] + log[b]] if a and b else 0
+        return exp[log[a] + log[b]]
 
     def inv(a):
         if not a:
@@ -496,18 +547,24 @@ def _arithmetic(field: FieldSpec) -> dict:
         n = -(-row.bit_length() // w)
         if n > _SHORT_ROW:
             return reduce(_shift_xor(reduce(row), 0, a))
-        if not a:
-            return 0
         la, out = log[a], 0
         for j in range(n - 1, -1, -1):
             x = row >> (j * w) & slot
             if x >= q:
                 x = x & low ^ exp[log[x >> k] + log_r]
-            out = out << w | (exp[la + log[x]] if x else 0)
+            out = out << w | exp[la + log[x]]
         return out
 
+    def lane_adder(gs):
+        lgs = [log[g] for g in gs]
+
+        def add(xs, ys):
+            return [x ^ exp[lg + log[y]] for x, lg, y in zip(xs, lgs, ys)]
+        return add
+
     return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=pack,
-                unpack=unpack, entry=entry, scale=scale, adder=adder)
+                unpack=unpack, entry=entry, scale=scale, adder=adder,
+                lane_adder=lane_adder)
 
 
 def prime_field(p: int) -> FieldSpec:

@@ -15,14 +15,15 @@ The report counts the distinct blocks and the most copies of any one.
 
 The distinct blocks are decided together, up to _BATCH at a time, by
 one forward elimination over lanes: lane (i, j) holds entry (i, j) of
-every block in the batch, and each step is a `map` of the field's
-scalar operations along lanes, so the per-call cost of an elimination
-is paid once per batch instead of once per block. Each block searches
-its own pivot and swaps rows only inside its own lanes; a p x p block
-is invertible exactly when every one of its p columns yields a pivot,
-so the verdicts are exact. The whole matrix is decided by its rank
-(`Matrix.rank`, the packed-row kernel): it is invertible exactly when
-its rank is its size.
+every block in the batch. Each row update is one call of the field's
+lane update (`FieldSpec.lane_adder`), a single list comprehension over
+a whole lane, so the per-call cost of an elimination is paid once per
+batch instead of once per block, and no field operation is called per
+entry. Each block searches its own pivot and swaps rows only inside its
+own lanes; a p x p block is invertible exactly when every one of its p
+columns yields a pivot, so the verdicts are exact. The whole matrix is
+decided by its rank (`Matrix.rank`, the packed-row kernel): it is
+invertible exactly when its rank is its size.
 """
 
 from __future__ import annotations
@@ -63,9 +64,13 @@ def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
     swaps in the first row below it with a nonzero entry, and a block
     with none is singular. A singular block clears nothing in that
     column and goes on through the later ones, but its verdict is
-    already fixed.
+    already fixed. Each row below the pivot row gets one lane update,
+    `add = field.lane_adder(gs)` with gs[b] = -entry / pivot of block b
+    (0 for a singular block), and `add(row[j], top[j])` clears it lane
+    by lane in every column j right of c.
     """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    lane_adder, mul, neg, inv = (field.lane_adder, field.mul, field.neg,
+                                 field.inv)
     lanes = [[list(col) for col in zip(*(b[i] for b in blocks))]
              for i in range(p)]
     ok = [True] * len(blocks)
@@ -83,9 +88,9 @@ def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
         # g = -entry / pivot, so row i + g * row c clears column c
         piv = [neg(inv(x)) if x else 0 for x in top[c]]
         for row in lanes[c + 1:]:
-            g = list(map(mul, row[c], piv))
+            add = lane_adder(list(map(mul, row[c], piv)))
             for j in range(c + 1, p):
-                row[j] = list(map(add, row[j], map(mul, g, top[j])))
+                row[j] = add(row[j], top[j])
     return ok
 
 

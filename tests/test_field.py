@@ -1,5 +1,6 @@
 """Field layer: construction, arithmetic axioms, notation."""
 
+import itertools
 import pickle
 import random
 
@@ -9,8 +10,10 @@ from hypothesis import given, strategies as st
 from blockinv.field import (BINARY, MAX_DEGREE, DegreeMismatchError,
                             FieldError, FieldSpec, NotPrimeError,
                             ReduciblePolynomialError, UnsupportedSizeError,
-                            binary_field, parse_field, prime_field)
+                            _generator, binary_field, parse_field,
+                            prime_field)
 from blockinv.matrix import Matrix
+from oracles import SLOW_REDUCTION
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -149,7 +152,7 @@ def test_binary_mul_matches_long_division_oracle():
         return poly_long_division_remainder(prod, modulus)
 
     # 0x17B and 0x1CEB5 have the smallest generators 9 and 26, found
-    # after walking several candidates of smaller order
+    # after rejecting several candidates of smaller order
     for fld in (GF16, binary_field(8, 0x17B)):
         for a in range(fld.order):
             for b in range(fld.order):
@@ -169,11 +172,60 @@ def test_binary_mul_matches_long_division_oracle():
 
 
 def test_inverse_of_zero_raises():
-    # each arm of the field arithmetic (GF(2), GF(p), GF(2^k)) checks zero
-    for f in SMALL_FIELDS + [binary_field(1), prime_field(65521),
-                             binary_field(16)]:
+    # each arm of the field arithmetic (GF(2), GF(p), GF(2^k)) checks zero;
+    # over GF(2^k) the log table's zero sentinel does not stand in for it
+    for f in SMALL_FIELDS + [binary_field(1), prime_field(65521), GF256,
+                             binary_field(16), SLOW_REDUCTION]:
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
+
+
+def test_binary_product_with_zero_is_zero():
+    # log[0] is a sentinel that sends every product with a zero factor
+    # into the zeros at the end of exp, instead of a test for zero
+    rnd = random.Random(3)
+    sample = [0, 1, 2, 0xFFFF] + [rnd.randrange(1 << 16) for _ in range(2000)]
+    for f, codes in ((GF256, range(256)), (binary_field(16), sample),
+                     (SLOW_REDUCTION, sample)):
+        for a in codes:
+            assert f.mul(0, a) == f.mul(a, 0) == 0
+
+
+def multiplicative_order(f, g):
+    v, i = g, 1
+    while v != 1:
+        v, i = f.mul(v, g), i + 1
+    return i
+
+
+@pytest.mark.parametrize("f", [binary_field(2), GF8, GF16, GF256,
+                               binary_field(8, 0x17B), binary_field(12),
+                               binary_field(16), binary_field(16, 0x1CEB5)],
+                         ids=str)
+def test_generator_is_the_smallest_of_full_order(f):
+    g = _generator(f.degree, f.modulus)
+    assert multiplicative_order(f, g) == f.order - 1
+    assert all(multiplicative_order(f, c) < f.order - 1 for c in range(2, g))
+
+
+LANE_FIELDS = [GF2, GF3, prime_field(65521), GF256, binary_field(16),
+               SLOW_REDUCTION, binary_field(8, 0x17B)]
+
+
+@pytest.mark.parametrize("f", LANE_FIELDS, ids=str)
+def test_lane_adder_matches_scalar_ops(f):
+    # lane by lane x + g*y, over every triple of a few codes, zeros
+    # included, then over random lanes; one update serves many lane pairs
+    rnd = random.Random(11)
+    codes = {0, 1, f.order - 1} | {rnd.randrange(f.order) for _ in range(3)}
+    lanes = list(itertools.product(sorted(codes), repeat=3))
+    lanes += [tuple(rnd.randrange(f.order) for _ in range(3))
+              for _ in range(500)]
+    xs, gs, ys = map(list, zip(*lanes))
+    add = f.lane_adder(gs)
+    for xs, ys in ((xs, ys), (ys, xs)):
+        expected = [f.add(x, f.mul(g, y)) for x, g, y in zip(xs, gs, ys)]
+        assert add(xs, ys) == expected
 
 
 @pytest.mark.parametrize("f", SMALL_FIELDS + [GF256, prime_field(251)],
