@@ -167,19 +167,23 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
            rng: SplitMix64 | None = None) -> Matrix:
     """Grow a (t, p) block invertible square matrix to a (t+p, p) one.
 
-    `verify_blocks` re-checks the input: a singular matrix, else the
-    first singular block in row-major order, raises
-    NotBlockInvertibleError instead of producing a bad output. With
-    StripChoice.RANDOM (or its value "random") the block-row index for
-    X and the block-column index for Y are drawn independently (in that
-    order) from rng; any combination works because every strip of a
-    block invertible matrix is itself block invertible. The step itself
-    is the one `generate` takes, so both give the same bytes.
+    The arguments are checked first, so a RANDOM strip without an rng
+    raises ValueError before any work. Then `verify_blocks` re-checks
+    the input: a singular matrix, else the first singular block in
+    row-major order, raises NotBlockInvertibleError instead of producing
+    a bad output. With StripChoice.RANDOM (or its value "random") the
+    block-row index for X and the block-column index for Y are drawn
+    independently (in that order) from rng; any combination works
+    because every strip of a block invertible matrix is itself block
+    invertible. The step itself is the one `generate` takes, so both
+    give the same bytes.
     """
     if not m.is_square:
         raise ValueError(f"cannot extend {m.nrows}x{m.ncols} matrix")
     _check_min_block_size(p)
     strip = StripChoice(strip)
+    if strip is StripChoice.RANDOM and rng is None:
+        raise ValueError("StripChoice.RANDOM requires an rng")
 
     rep = verify_blocks(m, p)  # raises ValueError unless p divides m
     if not rep.whole_invertible:
@@ -196,10 +200,9 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
 
 def _strip_indices(strip: StripChoice, nb: int,
                    rng: SplitMix64 | None) -> tuple[int, int]:
-    """Block-row index of X and block-column index of Y among nb strips."""
+    """Block-row index of X and block-column index of Y among nb strips;
+    only StripChoice.RANDOM reads rng."""
     if strip is StripChoice.RANDOM:
-        if rng is None:
-            raise ValueError("StripChoice.RANDOM requires an rng")
         bi = rng.below(nb)
         return bi, rng.below(nb)
     if strip is StripChoice.LAST:

@@ -10,13 +10,15 @@ performs all arithmetic on codes.
 A FieldSpec carries its operations as plain function attributes: the
 scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
 the matrix algebra is written in. Rows are handled packed: `pack` turns
-a row of codes into the field's packed row, `unpack` turns it back,
-`entry` reads one entry, `scale(row, a) = a*row` works on a packed row,
-and the one row update takes its fixed operand first:
-`add = adder(other, uses)` returns `add(row, a) = row + a*other`, to be
-applied to about `uses` rows. One more operation works on lanes, plain
-lists of codes with one entry per independent problem (verify.py decides
-many blocks at once this way): `add = lane_adder(gs)` returns
+a row of codes into the field's packed row, `unpack` turns it back, and
+`scale(row, a) = a*row` works on a packed row. Two operations take a
+whole list of packed rows at once, each one list comprehension:
+`column(rows, j)` reads entry j of every row, and the one row update
+`sub_rows(rows, fs, other)` returns the list of `row - f*other` for
+each row and factor f, with a row whose factor is zero returned as it
+is. One more operation works on lanes, plain lists of codes with one
+entry per independent problem (verify.py decides many blocks at once
+this way): `add = lane_adder(gs)` returns
 `add(xs, ys) = [x + g*y for each lane]`, one list comprehension with no
 call per entry. All of them are chosen together at construction by one
 arm per field kind, so neither the field nor any caller branches on the
@@ -24,28 +26,30 @@ kind per operation, and no caller sees a packed form:
 
     GF(2)      one int per row, bit j for column j; an update is an XOR.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
-               an update is row + a*other, reduced mod p only by
-               `entry`, `scale` and `unpack` (delayed modular reduction).
+               an update is row + (p - f)*other, reduced mod p only by
+               `column`, `scale` and `unpack` (delayed modular
+               reduction).
     GF(2^k)    one int per row of w-bit slots, slot j for column j, for
                k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
                the smallest struct width that holds 2k-1 bits. An update
-               XORs in the carry-less product a*other and leaves each
-               slot unreduced; `entry`, `scale` and `unpack` reduce it
-               mod the modulus.
+               XORs in the carry-less product f*other (in characteristic
+               2, -f = f) and leaves each slot unreduced; `column`,
+               `scale` and `unpack` reduce it mod the modulus.
 
-A GF(2^k) update forms a*other in one of two ways, with the same result.
-For fewer than _TABLE_ROWS uses it XORs one shifted copy of `other` per
-set bit of a (`_shift_xor`). For more, `adder` first builds product
-tables (the Newton-John tables of M4RIE: Albrecht, ISSAC 2012): for each
-4-bit window of a scalar, the 16 carry-less multiples d*other shifted
-into that window, so an update is one lookup and XOR per window,
-ceil(k/4) in all, whatever the bits of a. Both ways cost time in
+A GF(2^k) update forms f*other in one of two ways, with the same result.
+With fewer than _TABLE_ROWS nonzero factors it XORs one shifted copy of
+`other` per set bit of f (`_shift_xor`). With more, `sub_rows` first
+builds product tables (the Newton-John tables of M4RIE: Albrecht, ISSAC
+2012): for each 4-bit window of a scalar, the 16 carry-less multiples
+d*other shifted into that window, so an update is one lookup and XOR per
+window, ceil(k/4) in all, whatever the bits of f. Both ways cost time in
 proportion to the row's length, so only the number of rows that share
-the tables decides whether they pay off, and only the caller knows that
-number in advance.
+the tables decides whether they pay off, and `sub_rows` counts them
+from the factors it is given.
 
-A GF(p) slot never borrows, because every factor is a canonical code in
-0..p-1, and never carries into the next slot: if every row added is
+A GF(p) slot never borrows, because `sub_rows` subtracts f*other by
+adding (p - f)*other, whose factor lies in 1..p-1 for a nonzero
+canonical f, and never carries into the next slot: if every row added is
 canonical (scaled, or fresh from `pack`), each update adds less than
 p^2 <= 2^32 to a slot, so a slot that starts canonical stays below 2^64
 for fewer than 2^32 additions. The elimination kernel adds to a row at
@@ -59,8 +63,8 @@ x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
 hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
 repeating it leaves the canonical code. `unpack`, and `scale` on a
 long row, do this for every slot at once with masks repeated in each
-slot; `entry` reads one slot and takes lo XOR hi*r through the log/exp
-tables in one step.
+slot; `column` reads one slot of each row and takes lo XOR hi*r through
+the log/exp tables in one step.
 
 The default modulus for GF(2^k) is derived: it is the irreducible
 polynomial of degree k with the smallest coefficient mask, so that
@@ -103,7 +107,6 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from functools import partial
 
 PRIME = "prime"
 BINARY = "binary"
@@ -115,7 +118,7 @@ MAX_PRIME = 1 << 16
 _SLOT_MASK = (1 << 64) - 1
 #: A GF(2^k) row of at most this many slots is scaled entry by entry.
 _SHORT_ROW = 8
-#: A GF(2^k) row update applied to at least this many rows builds
+#: A GF(2^k) row update with at least this many nonzero factors builds
 #: product tables for its fixed operand first.
 _TABLE_ROWS = 16
 #: Largest supported extension degree for GF(2^k).
@@ -205,15 +208,16 @@ class FieldSpec:
     Immutable after construction; all operations are pure functions of
     their arguments, so a FieldSpec may be shared freely across threads.
     The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
-    packed-row conversions `pack(codes)`, `unpack(row, n)` and
-    `entry(row, j)`, the row operations `scale(row, a)` and
-    `adder(other, uses)`, and the lane update `lane_adder(gs)` are its
-    arithmetic, bound once by `_arithmetic`.
+    packed-row conversions `pack(codes)` and `unpack(row, n)`, the row
+    operation `scale(row, a)`, the operations on lists of rows
+    `column(rows, j)` and `sub_rows(rows, fs, other)`, and the lane
+    update `lane_adder(gs)` are its arithmetic, bound once by
+    `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
-                 "add", "neg", "mul", "inv", "pack", "unpack", "entry",
-                 "scale", "adder", "lane_adder")
+                 "add", "neg", "mul", "inv", "pack", "unpack", "column",
+                 "scale", "sub_rows", "lane_adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -311,6 +315,20 @@ def _shift_xor(other: int, row: int, a: int) -> int:
     return row
 
 
+def _product_tables(other: int, k: int) -> list[list[int]]:
+    """The Newton-John tables of `other` for the four 4-bit windows of
+    a GF(2^k) scalar: table i holds, for each value d of window i, the
+    carry-less product d*other shifted into that window. Tables are
+    built by doubling, one shifted copy per bit of d. A window holds only
+    the bits a scalar reaches, so one above bit k - 1 is [0]."""
+    low4 = [0]
+    for b in range(min(k, 4)):
+        copy = other << b
+        low4 += [x ^ copy for x in low4]
+    return [low4] + [[x << s for x in low4[:1 << k - s]] if s < k else [0]
+                     for s in (4, 8, 12)]
+
+
 def _poly_pow(a: int, e: int, m: int) -> int:
     """a^e modulo the GF(2) polynomial m, by square-and-multiply."""
     r = 1
@@ -348,23 +366,23 @@ def _arithmetic(field: FieldSpec) -> dict:
 
     `pack(codes)` turns a row of codes into the arm's packed row and
     `unpack(row, n)` turns a packed row of n entries back into a list of
-    canonical codes; `entry(row, j)` reads entry j as a canonical code.
-    scale(row, a) is a*row with canonical entries. adder(other, uses)
-    takes a canonical row `other` (scaled, or fresh from `pack`) and the
-    number of rows it is about to update, and returns add(row, a), which
-    is row + a*other for a canonical code a. Both take and return packed
-    rows and never modify their arguments. Over GF(p) and GF(2^k) the
-    row `add` returns may hold unreduced slots, which only `entry`,
-    `scale` and `unpack` read (see the module docstring for why no slot
-    overflows). lane_adder(gs) takes a list of canonical codes and
-    returns add(xs, ys), a new list of canonical codes x + g*y for equal
-    length lists xs and ys, lane by lane. inv(0) raises
+    canonical codes; `column(rows, j)` returns entry j of each of a list
+    of packed rows as a list of canonical codes. scale(row, a) is a*row
+    with canonical entries. sub_rows(rows, fs, other) takes a list of
+    packed rows, a list of as many canonical codes and a canonical row
+    `other` (scaled, or fresh from `pack`), and returns a new list of
+    row - f*other for each row and its f; a row whose f is zero comes
+    back as it is. None of them modifies its arguments. Over GF(p) and
+    GF(2^k) the rows `sub_rows` returns may hold unreduced slots, which
+    only `column`, `scale` and `unpack` read (see the module docstring
+    for why no slot overflows). lane_adder(gs) takes a list of canonical
+    codes and returns add(xs, ys), a new list of canonical codes x + g*y
+    for equal length lists xs and ys, lane by lane. inv(0) raises
     ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
-
-    def neg_self(a):
-        return a
+    # In characteristic 2, -a = a, so `neg` is operator.pos, which hands
+    # back the int itself with no Python-level call.
 
     if field.order == 2:
         # GF(2), spelled gf(2) or gf(2^1): a row is one int with bit j
@@ -382,31 +400,29 @@ def _arithmetic(field: FieldSpec) -> dict:
         def unpack(row, n):
             return list(map(int, reversed(f"{row:0{n}b}")))
 
-        def entry(row, j):
-            return row >> j & 1
+        def column(rows, j):
+            return [row >> j & 1 for row in rows]
 
         def scale(row, a):
             return row if a else 0
 
-        def adder(other, uses):
-            def add(row, a):
-                return row ^ other if a else row
-            return add
+        def sub_rows(rows, fs, other):
+            return [row ^ other if f else row for row, f in zip(rows, fs)]
 
         def lane_adder(gs):
             def add(xs, ys):
                 return [x ^ (g & y) for x, g, y in zip(xs, gs, ys)]
             return add
 
-        return dict(add=operator.xor, neg=neg_self, mul=operator.and_,
-                    inv=inv, pack=pack, unpack=unpack, entry=entry,
-                    scale=scale, adder=adder, lane_adder=lane_adder)
+        return dict(add=operator.xor, neg=operator.pos, mul=operator.and_,
+                    inv=inv, pack=pack, unpack=unpack, column=column,
+                    scale=scale, sub_rows=sub_rows, lane_adder=lane_adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
-        # reduced mod p only when read. An update adds a*other slot by slot
-        # with no carry between slots, as long as every slot stays below
-        # 2^64 (see the module docstring).
+        # reduced mod p only when read. An update adds (p - f)*other slot
+        # by slot with no carry between slots, as long as every slot stays
+        # below 2^64 (see the module docstring).
         p = field.characteristic
 
         def add(a, b):
@@ -429,17 +445,17 @@ def _arithmetic(field: FieldSpec) -> dict:
             return [x % p for x in
                     struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))]
 
-        def entry(row, j):
-            return (row >> (j << 6) & _SLOT_MASK) % p
+        def column(rows, j):
+            s = j << 6
+            return [(row >> s & _SLOT_MASK) % p for row in rows]
 
         def scale(row, a):
             return pack([x * a % p for x in
                          unpack(row, (row.bit_length() + 63) >> 6)])
 
-        def adder(other, uses):
-            def add(row, a):
-                return row + a * other
-            return add
+        def sub_rows(rows, fs, other):
+            return [row + (p - f) * other if f else row
+                    for row, f in zip(rows, fs)]
 
         def lane_adder(gs):
             def add(xs, ys):
@@ -447,8 +463,8 @@ def _arithmetic(field: FieldSpec) -> dict:
             return add
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
-                    unpack=unpack, entry=entry, scale=scale, adder=adder,
-                    lane_adder=lane_adder)
+                    unpack=unpack, column=column, scale=scale,
+                    sub_rows=sub_rows, lane_adder=lane_adder)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
     # tables w.r.t. the smallest generator g, filled by one walk of its
@@ -516,34 +532,29 @@ def _arithmetic(field: FieldSpec) -> dict:
         return list(struct.unpack(f"<{n}{code}",
                                   reduce(row).to_bytes(nbytes * n, "little")))
 
-    def entry(row, j):
-        x = row >> (j * w) & slot
-        return x if x < q else x & low ^ exp[log[x >> k] + log_r]
+    def column(rows, j):
+        s = j * w
+        return [x if (x := row >> s & slot) < q
+                else x & low ^ exp[log[x >> k] + log_r] for row in rows]
 
-    def adder(other, uses):
-        if uses < _TABLE_ROWS:
-            return partial(_shift_xor, other)
-        # tables[i][d] = d*other shifted into the i-th 4-bit window of a
-        # scalar, built by doubling: each bit of d adds a shifted copy.
-        # The top window holds only the k - s bits a scalar reaches.
-        low4 = [0]
-        for b in range(min(k, 4)):
-            copy = other << b
-            low4 += [x ^ copy for x in low4]
-        tables = [low4] + [[x << s for x in low4[:1 << k - s]]
-                           for s in range(4, k, 4)]
-
-        def add(row, a):
-            for t in tables:
-                row ^= t[a & 15]
-                a >>= 4
-            return row
-        return add
+    def sub_rows(rows, fs, other):
+        if len(fs) - fs.count(0) < _TABLE_ROWS:
+            return [_shift_xor(other, row, f) if f else row
+                    for row, f in zip(rows, fs)]
+        t0, t1, t2, t3 = _product_tables(other, k)
+        # A scalar of k <= 8 bits reaches only the two low windows, and an
+        # XOR with an empty window's 0 still copies the row, so it reads
+        # two; that keeps a dense 256x256 GF(2^8) rank about 20% faster.
+        if k <= 8:
+            return [row ^ t0[f & 15] ^ t1[f >> 4] if f else row
+                    for row, f in zip(rows, fs)]
+        return [row ^ t0[f & 15] ^ t1[f >> 4 & 15] ^ t2[f >> 8 & 15]
+                ^ t3[f >> 12] if f else row for row, f in zip(rows, fs)]
 
     def scale(row, a):
         # A long row is reduced, multiplied and reduced again across all
         # slots at once; a short one costs less slot by slot, each reduced
-        # as in `entry` and multiplied through the tables.
+        # as in `column` and multiplied through the tables.
         n = -(-row.bit_length() // w)
         if n > _SHORT_ROW:
             return reduce(_shift_xor(reduce(row), 0, a))
@@ -562,8 +573,8 @@ def _arithmetic(field: FieldSpec) -> dict:
             return [x ^ exp[lg + log[y]] for x, lg, y in zip(xs, lgs, ys)]
         return add
 
-    return dict(add=operator.xor, neg=neg_self, mul=mul, inv=inv, pack=pack,
-                unpack=unpack, entry=entry, scale=scale, adder=adder,
+    return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv, pack=pack,
+                unpack=unpack, column=column, scale=scale, sub_rows=sub_rows,
                 lane_adder=lane_adder)
 
 

@@ -7,16 +7,17 @@ see plain codes.
 
 Arithmetic on rows runs on the field's packed rows: an operation packs
 its operand rows with `pack`, works on them with `scale(row, a) = a*row`
-and the one row update, `add = adder(other, uses)` with
-`add(row, a) = row + a*other`, reads entries with `entry` and unpacks
-its result with `unpack` (see field.py for each field's packed form).
-This module never branches on the field kind. An update is made once
-per fixed operand, told how many rows it may update, and applied to all
-of them, so over GF(2^k) it builds product tables only when enough rows
-share them. Elimination makes one per pivot row, at the first row it
-clears, for the rows left from there on. A product makes one per row of
-its right factor, for the nonzero entries of the matching left column,
-and unpacks once per output row. The Kronecker product scales rows, and
+and with two operations on whole lists of rows, `column(rows, j)`, which
+reads column j, and the one row update `sub_rows(rows, fs, other)`,
+which returns each row minus its factor times `other`; it unpacks its
+result with `unpack` (see field.py for each field's packed form). This
+module never branches on the field kind and never counts rows for the
+field: `sub_rows` sees every factor of an update at once, so over
+GF(2^k) it decides itself whether enough of them are nonzero to share
+product tables. Elimination reads each pivot column once and clears it
+with one `sub_rows` call. A product makes one call per row of its right
+factor, with the negated matching left column as the factors, and
+unpacks once per output row. The Kronecker product scales rows, and
 addition adds codes with the scalar `add`.
 
 Elimination is one forward pass, `_echelon`: it normalises each pivot
@@ -45,48 +46,36 @@ class SingularMatrixError(ValueError):
     """Square matrix has no inverse."""
 
 
-def _clear(rows: list, targets: range, c: int, prow: int,
-           field: FieldSpec) -> None:
-    """Subtract from each target row its entry in column c times the
-    canonical pivot row `prow`, whose entry in column c is 1, so that
-    column c of every target becomes zero.
-
-    One update serves them all. It is made at the first target with a
-    nonzero entry, for the targets from there on, so a column that is
-    already clear builds nothing.
-    """
-    entry, neg = field.entry, field.neg
-    add = None
-    for i in targets:
-        f = entry(rows[i], c)
-        if f:
-            if add is None:
-                add = field.adder(prow, targets.stop - i)
-            rows[i] = add(rows[i], neg(f))
-
-
 def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
     """Bring packed `rows` to row-echelon form in place (forward pass).
 
-    Pivots are sought in the first `width` columns. Each pivot row is
-    scaled so that its pivot is 1, which also leaves it in canonical
-    codes, and is then eliminated from the rows below it only. Entries
-    left of a pivot column are already zero in the pivot row, so an
-    update leaves those columns as they are.
+    Pivots are sought in the first `width` columns. Each column is read
+    once, in the rows not yet holding a pivot: the first nonzero entry
+    is the pivot, and the entries give the factors that clear the
+    column below it. The pivot row is scaled so that its pivot is 1,
+    which also leaves it in canonical codes, and swapped to the top of
+    those rows, where its own factor is zero. Entries left of a pivot
+    column are already zero in the pivot row, so an update leaves those
+    columns as they are.
 
     Returns the pivot columns; their count is the rank of that part.
     """
-    scale, inv, entry = field.scale, field.inv, field.entry
+    column, sub_rows = field.column, field.sub_rows
+    scale, inv = field.scale, field.inv
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        piv = next((i for i in range(r, nrows) if entry(rows[i], c)), -1)
-        if piv < 0:
+        below = rows[r:]
+        col = column(below, c)
+        x = next(filter(None, col), 0)
+        if not x:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r] = scale(rows[r], inv(entry(rows[r], c)))
-        _clear(rows, range(r + 1, nrows), c, prow, field)
+        i = col.index(x)
+        prow = scale(below[i], inv(x))
+        below[i], col[i] = below[0], 0
+        below[0] = prow
+        rows[r:] = sub_rows(below, col, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -107,7 +96,9 @@ def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
     pivots = _echelon(rows, field, width)
     for k in range(len(pivots) - 1, 0, -1):
         prow = rows[k] = field.scale(rows[k], 1)
-        _clear(rows, range(k), pivots[k], prow, field)
+        above = rows[:k]
+        rows[:k] = field.sub_rows(above, field.column(above, pivots[k]),
+                                  prow)
     return pivots
 
 
@@ -220,12 +211,13 @@ class Matrix:
                 f"{other.nrows}x{other.ncols}")
         f, n = self.field, other.ncols
         # row i of the product is the sum over k of self[i, k] times row k
-        # of other, so each row of other makes one update for every row
-        # i; a zero entry adds nothing
-        acc = [f.pack((0,) * n)] * self.nrows
+        # of other, so each row k of other updates every row i at once,
+        # subtracting it times the negated column k; a zero entry adds
+        # nothing
+        neg, pack, sub_rows = f.neg, f.pack, f.sub_rows
+        acc = [pack((0,) * n)] * self.nrows
         for brow, col in zip(other._rows, zip(*self._rows)):
-            add = f.adder(f.pack(brow), self.nrows - col.count(0))
-            acc = list(map(add, acc, col))
+            acc = sub_rows(acc, list(map(neg, col)), pack(brow))
         return Matrix._new(f, tuple(tuple(f.unpack(x, n)) for x in acc))
 
     def rank(self) -> int:

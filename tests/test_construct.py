@@ -281,6 +281,20 @@ def test_extend_strip_choices():
         extend(base, 2, StripChoice.RANDOM)  # rng required
 
 
+def test_extend_checks_its_arguments_before_its_input(monkeypatch):
+    # a missing rng is reported as such, even for a singular input, and
+    # before any block of the input is verified
+    def no_verify(m, p):
+        raise AssertionError("verify_blocks ran")
+
+    monkeypatch.setattr(construct, "verify_blocks", no_verify)
+    for m in (zeros(GF2, 4, 4), Matrix.identity(GF2, 4)):
+        with pytest.raises(ValueError, match="requires an rng"):
+            extend(m, 2, StripChoice.RANDOM)
+        with pytest.raises(ValueError, match="requires an rng"):
+            extend(m, 2, "random")
+
+
 # ----------------------------------------------------------------------
 # generate
 # ----------------------------------------------------------------------

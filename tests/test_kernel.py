@@ -7,8 +7,9 @@ import pytest
 
 from blockinv import field as field_module
 from blockinv.decompose import rank_decompose
-from blockinv.field import (_SHORT_ROW, _TABLE_ROWS, _shift_xor, binary_field,
-                            parse_field, prime_field)
+from blockinv.field import (_SHORT_ROW, _TABLE_ROWS, _product_tables,
+                            _shift_xor, binary_field, parse_field,
+                            prime_field)
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
@@ -75,21 +76,28 @@ def test_kernel_digest_is_pinned():
 def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
     an update returns, which a packed form may leave unreduced, with the
-    update made for one use and for enough uses to build product tables;
-    then the same on short rows cut from xs and ys."""
+    update applied to one row and to enough rows with a nonzero factor
+    to build product tables; then the same on short rows cut from xs and
+    ys."""
     pack, unpack, n = field.pack, field.unpack, len(xs)
     px, py = pack(xs), pack(ys)
     assert unpack(px, n) == xs and unpack(py, n) == ys
-    assert [field.entry(px, j) for j in range(n)] == xs
-    adds = [field.adder(py, uses) for uses in (1, _TABLE_ROWS)]
+    assert [field.column([px, py], j) for j in range(n)] == [
+        [x, y] for x, y in zip(xs, ys)]
     for a in coeffs:
         assert unpack(field.scale(px, a), n) == [field.mul(a, x) for x in xs]
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
-        rows = [add(px, a) for add in adds]
-        assert rows[0] == rows[1]
+        # row - f*other with f = -a adds a*other
+        f = field.neg(a)
+        rows = (field.sub_rows([px], [f], py)
+                + field.sub_rows([px] * _TABLE_ROWS, [f] * _TABLE_ROWS, py))
+        assert rows == [rows[0]] * (1 + _TABLE_ROWS)
+        if not a:
+            assert all(row is px for row in rows)
         row = rows[0]
         assert unpack(row, n) == sums
-        assert [field.entry(row, j) for j in range(n)] == sums
+        assert [field.column([row, px], j) for j in range(n)] == [
+            [s, x] for s, x in zip(sums, xs)]
         assert unpack(field.scale(row, a), n) == [field.mul(a, x)
                                                   for x in sums]
     if n > 7:
@@ -107,6 +115,19 @@ def shift_xors(monkeypatch):
         return _shift_xor(other, row, a)
 
     monkeypatch.setattr(field_module, "_shift_xor", counted)
+    return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The `other` of each set of product tables the fields build."""
+    calls = []
+
+    def counted(other, k):
+        calls.append(other)
+        return _product_tables(other, k)
+
+    monkeypatch.setattr(field_module, "_product_tables", counted)
     return calls
 
 
@@ -146,26 +167,32 @@ def test_row_ops_match_scalar_ops_on_samples(field):
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
 @pytest.mark.parametrize("slots", [_SHORT_ROW, _SHORT_ROW + 1])
-def test_each_path_starts_past_its_boundary(field, slots, shift_xors):
+def test_each_path_starts_past_its_boundary(field, slots, shift_xors,
+                                            table_builds):
     # Rows whose last entry is nonzero span exactly `slots` slots. Up to
     # _SHORT_ROW slots a scale works slot by slot, and one slot more it
-    # runs one shift-XOR product. An update made for _TABLE_ROWS - 1 uses
-    # runs one shift-XOR product per call, and one made for _TABLE_ROWS
-    # uses reads product tables instead, on rows of either length.
+    # runs one shift-XOR product. An update of _TABLE_ROWS - 1 rows with
+    # a nonzero factor runs one shift-XOR product per row, and one of
+    # _TABLE_ROWS such rows builds product tables once and reads them
+    # instead, on rows of either length. A zero factor runs neither.
     rng = SplitMix64(slots * field.degree)
     q = field.order
     xs, ys = ([rng.below(q) for _ in range(slots - 1)] + [1 + rng.below(q - 1)]
               for _ in range(2))
     px, py = field.pack(xs), field.pack(ys)
-    adds = [field.adder(py, uses) for uses in (_TABLE_ROWS - 1, _TABLE_ROWS)]
     for a in [0, 1, q - 1] + [rng.below(q) for _ in range(20)]:
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
-        for add, tables in zip(adds, (False, True)):
+        f = field.neg(a)
+        for nrows, tables in ((_TABLE_ROWS - 1, False), (_TABLE_ROWS, True)):
             shift_xors.clear()
-            row = add(px, a)
-            assert len(shift_xors) == (not tables)
-            assert field.unpack(row, slots) == sums
-            assert [field.entry(row, j) for j in range(slots)] == sums
+            table_builds.clear()
+            rows = field.sub_rows([px] * nrows, [f] * nrows, py)
+            assert len(shift_xors) == (0 if tables or not a else nrows)
+            assert table_builds == ([py] if tables and a else [])
+            assert rows == [rows[0]] * nrows
+            assert field.unpack(rows[0], slots) == sums
+            assert [field.column(rows[:1], j)[0]
+                    for j in range(slots)] == sums
         shift_xors.clear()
         assert field.unpack(field.scale(px, a), slots) == [field.mul(a, x)
                                                            for x in xs]
@@ -189,16 +216,17 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
         assert [field.unpack(row, ncols) for row in rows] == rref
 
 
-def _counting_adder(field, uses_seen):
-    """A fresh copy of `field` whose row updates record their `uses`."""
+def _counting_sub_rows(field, nonzero_seen):
+    """A fresh copy of `field` whose row updates record how many of
+    their factors are nonzero."""
     field = parse_field(str(field))
-    adder = field.adder
+    sub_rows = field.sub_rows
 
-    def counted(other, uses):
-        uses_seen.append(uses)
-        return adder(other, uses)
+    def counted(rows, fs, other):
+        nonzero_seen.append(len(fs) - fs.count(0))
+        return sub_rows(rows, fs, other)
 
-    field.adder = counted
+    field.sub_rows = counted
     return field
 
 
@@ -206,32 +234,67 @@ def _counting_adder(field, uses_seen):
 @pytest.mark.parametrize("nrows, tables", [(_TABLE_ROWS, False),
                                            (_TABLE_ROWS + 1, True),
                                            (3 * _TABLE_ROWS, True)])
-def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables):
+def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
+                                                table_builds):
     # A pivot row updates at most nrows - 1 rows, so nrows = _TABLE_ROWS
-    # never builds product tables and one more row does; dense and sparse
-    # fills, on wide and tall matrices, both ways.
+    # never builds product tables, and one more row can; tables are
+    # built for exactly the updates with _TABLE_ROWS nonzero factors or
+    # more. Dense and sparse fills, on wide and tall matrices, both ways,
+    # and a fill with no zero code (zero_share None), where the first
+    # pivot has nrows - 1 nonzero factors below it, so the 17-row
+    # boundary reaches the tables over every field.
     rng = SplitMix64(nrows * field.degree)
     for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
-                              (nrows - 2, 0), (nrows - 2, 2)]:
-        codes = [[0 if rng.below(4) < zero_share else rng.below(field.order)
-                  for _ in range(ncols)] for _ in range(nrows)]
+                              (nrows - 2, 0), (nrows - 2, 2),
+                              (nrows + 3, None), (nrows - 2, None)]:
+        if zero_share is None:
+            codes = [[1 + rng.below(field.order - 1) for _ in range(ncols)]
+                     for _ in range(nrows)]
+        else:
+            codes = [[0 if rng.below(4) < zero_share
+                      else rng.below(field.order) for _ in range(ncols)]
+                     for _ in range(nrows)]
         rref, pivots = scalar_rref(codes, field)
-        uses = []
-        counted = _counting_adder(field, uses)
+        nonzero = []
+        table_builds.clear()
+        counted = _counting_sub_rows(field, nonzero)
         rows = [counted.pack(row) for row in codes]
         assert _echelon(list(rows), counted, ncols) == pivots
         assert _row_reduce(rows, counted, ncols) == pivots
         assert [counted.unpack(row, ncols) for row in rows] == rref
-        if zero_share == 0:
-            assert (max(uses) >= _TABLE_ROWS) == tables
+        assert len(table_builds) == sum(c >= _TABLE_ROWS for c in nonzero)
+        if zero_share is None or not tables:
+            assert (max(nonzero) >= _TABLE_ROWS) == tables
 
 
-def test_a_clear_column_builds_no_update():
-    uses = []
-    field = _counting_adder(binary_field(16), uses)
+def test_a_clear_column_builds_no_update(table_builds):
+    nonzero = []
+    field = _counting_sub_rows(binary_field(16), nonzero)
     rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
     assert _row_reduce(rows, field, 40) == list(range(40))
-    assert uses == []
+    assert set(nonzero) == {0}
+    assert table_builds == []
+
+
+@pytest.mark.parametrize("nonzero, tables", [(_TABLE_ROWS - 1, False),
+                                             (_TABLE_ROWS, True)])
+def test_tables_serve_only_nonzero_factors(nonzero, tables, table_builds):
+    # A pivot with 3 * _TABLE_ROWS rows below it, `nonzero` of them, one
+    # in three, with a nonzero entry in its column: the update builds
+    # product tables only if that many rows can share them.
+    field = binary_field(8)
+    rng = SplitMix64(nonzero)
+    below = 3 * _TABLE_ROWS
+    fs = [0] * below
+    fs[:3 * nonzero:3] = [1 + rng.below(255) for _ in range(nonzero)]
+    codes = [[1] + [rng.below(256) for _ in range(20)]] + [
+        [f] + [rng.below(256) for _ in range(20)] for f in fs]
+    rows = [field.pack(row) for row in codes]
+    assert _echelon(rows, field, 1) == [0]
+    assert len(table_builds) == tables
+    assert [field.unpack(row, 21) for row in rows] == [codes[0]] + [
+        [field.add(x, field.mul(f, p)) for x, p in zip(row, codes[0])]
+        for f, row in zip(fs, codes[1:])]
 
 
 def _square(field, n, fill, rng):

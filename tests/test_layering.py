@@ -1,8 +1,9 @@
 """Only field.py knows how a field is represented.
 
 Every other module in the package does its arithmetic through the
-FieldSpec interface (scalar ops, the row operations scale/adder, and the
-lane update lane_adder), so a change of representation, such as
+FieldSpec interface (scalar ops, the row operation scale, the
+operations column/sub_rows on lists of rows, and the lane update
+lane_adder), so a change of representation, such as
 bit-packed GF(2) rows or the GF(2^k) log/exp arrays, stays inside
 field.py. This test reads the sources with `ast` and fails on any
 reference to the field kind, the log/exp tables or the kind constants.
