@@ -13,17 +13,21 @@ bottom-right corner:
 W is chosen so that both W and the corner are invertible, which makes N
 invertible via the factorization N = [[M, 0], [X, W]] @ [[I, M^-1 @ Y],
 [0, I]], and every block of N is a block of M, a strip block, or the
-invertible corner. Finding W factors the corner's defect
+invertible corner. In general W comes from factoring the corner's defect
 S = X @ M^-1 @ Y through its rank normal form, S = L @ diag(I_r, 0) @ R,
-and patches it with a fixed perturbation matrix: W = L @ A @ R, so the
-corner is L @ (diag(I_r, 0) + A) @ R.
+and patching it with a fixed perturbation matrix: W = L @ A @ R, so the
+corner is L @ (diag(I_r, 0) + A) @ R (`corner_completion`).
 
 Because X is block-row bi of M itself, X @ M^-1 is the block-row
 selector [0 .. I .. 0], so the defect is just the block S = M[bi][bj]
-picked out by the strips: a growth step needs no inverse and no matrix
-product. Each step is certified locally in O(p^3): rank(W) == p and
-rank(corner) == p. The factorization gives det N = det M * det W, and
-every block of N is a block of M or the corner, so by induction from the
+picked out by the strips: a growth step needs no inverse. That block is
+invertible, and an invertible S factors with L = S and R = I, so
+W = S @ A and the corner is S @ C, with C = I + A for the (p, p)
+perturbation matrix A. A step is therefore one p x p product. A and C
+are the completion of I, taken once per run and certified there in
+O(p^3): rank(A) == rank(C) == p. Then W and the corner are invertible at
+every step, the factorization gives det N = det M * det W, and every
+block of N is a block of M or the corner, so by induction from the
 rank-checked p x p seed every output is an (n, p) block invertible
 square matrix without re-verifying the whole of it.
 
@@ -127,7 +131,7 @@ def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
     Every tile has determinant +-1 and so does the matching tile of
     diag(I_r, 0) + A, which is what makes both block-diagonal matrices
     invertible regardless of characteristic. Nothing is re-checked here:
-    a growth step certifies the W and corner built from A.
+    `_grow` certifies A and I + A once per run.
     """
     _check_min_block_size(p)
     if not 0 <= r <= p:
@@ -155,7 +159,10 @@ def corner_completion(s: Matrix) -> tuple[Matrix, Matrix]:
     Factors s through its rank normal form, s = L @ diag(I_r, 0) @ R,
     and sets w = L @ A @ R for the (p, r) perturbation matrix A; then
     s + w = L @ (diag(I_r, 0) + A) @ R, a product of invertible
-    matrices. `rank_decompose` rejects a non-square s.
+    matrices. `rank_decompose` rejects a non-square s. For an invertible
+    s it returns (s @ A, s @ (I + A)) with A the (p, p) perturbation
+    matrix, and border growth meets only invertible defects, so it runs
+    this once per run, on s = I.
     """
     d = rank_decompose(s)
     a = perturbation_matrix(s.nrows, d.rank, s.field)
@@ -194,40 +201,41 @@ def extend(m: Matrix, p: int, strip: StripChoice = StripChoice.FIRST,
 
     nb = m.nrows // p
     grid = [[m.block(p, i, j) for j in range(nb)] for i in range(nb)]
-    _grow(grid, *_strip_indices(strip, nb, rng))
+    _grow(grid, 1, strip, rng)
     return Matrix.from_blocks(grid)
 
 
-def _strip_indices(strip: StripChoice, nb: int,
-                   rng: SplitMix64 | None) -> tuple[int, int]:
-    """Block-row index of X and block-column index of Y among nb strips;
-    only StripChoice.RANDOM reads rng."""
-    if strip is StripChoice.RANDOM:
-        bi = rng.below(nb)
-        return bi, rng.below(nb)
-    if strip is StripChoice.LAST:
-        return nb - 1, nb - 1
-    return 0, 0
+def _grow(grid: list[list[Matrix]], steps: int, strip: StripChoice,
+          rng: SplitMix64 | None) -> None:
+    """Take `steps` trusted growth steps, in place, on the k x k block
+    grid of a (kp, p) block invertible square M.
 
-
-def _grow(grid: list[list[Matrix]], bi: int, bj: int) -> None:
-    """One trusted growth step, in place, on the k x k block grid of a
-    (kp, p) block invertible square M.
-
-    X = block-row bi and Y = block-column bj of M, so the corner defect
-    X @ M^-1 @ Y is the block grid[bi][bj]. The O(p^3) certificate below,
-    with det N = det M * det W, carries block invertibility from M to N.
+    A step borders M with X = block-row bi and Y = block-column bj: both
+    0 for StripChoice.FIRST, both k - 1 for LAST, and for RANDOM bi then
+    bj drawn from rng, each below k; only RANDOM reads rng. The corner
+    defect X @ M^-1 @ Y is the block S = grid[bi][bj], invertible
+    because M is block invertible, so W = S @ A and the corner is S @ C
+    for (A, C) = corner_completion(I). That pair is taken and certified
+    once per call, rank(A) == rank(C) == p, and with det N = det M *
+    det W it carries block invertibility from M to N at every step.
     Every row gains its block of Y, and the new row is X and the corner:
-    the step appends block references and copies no entries.
+    beyond the one p x p product, a step appends block references and
+    copies no entries.
     """
-    s = grid[bi][bj]
-    w, corner = corner_completion(s)
-    if w.rank() != s.nrows or corner.rank() != s.nrows:
+    p, field = grid[0][0].nrows, grid[0][0].field
+    a, c = corner_completion(Matrix.identity(field, p))
+    if a.rank() != p or c.rank() != p:
         raise AssertionError(f"corner completion certificate failed for "
-                             f"p={s.nrows}, {s.field}")
-    for row in grid:
-        row.append(row[bj])
-    grid.append(grid[bi][:-1] + [corner])
+                             f"p={p}, {field}")
+    for nb in range(len(grid), len(grid) + steps):
+        if strip is StripChoice.RANDOM:
+            bi, bj = rng.below(nb), rng.below(nb)
+        else:
+            bi = bj = 0 if strip is StripChoice.FIRST else nb - 1
+        corner = grid[bi][bj] @ c
+        for row in grid:
+            row.append(row[bj])
+        grid.append(grid[bi][:-1] + [corner])
 
 
 def _draw(p: int, field: FieldSpec, rng: SplitMix64, low: int = 0) -> Matrix:
@@ -257,17 +265,18 @@ def generate(config: GeneratorConfig) -> Matrix:
     """Produce an (n, p) block invertible square matrix, deterministically.
 
     Seeds a SplitMix64 stream from config.seed, draws the initial p x p
-    invertible matrix, then takes exactly (n - p) / p growth steps on the
-    grid of p x p blocks. It does not call `extend`: each input is the
-    previous step's own certified output, so re-verifying it would be
-    redundant. A step costs O(p^3) field operations and appends block
-    references; the n x n matrix is assembled once, in O(n^2), at the end.
+    invertible matrix, then has `_grow` take exactly (n - p) / p growth
+    steps on the grid of p x p blocks. It does not call `extend`: each
+    input is the previous step's own certified output, so re-verifying it
+    would be redundant. One completion of I, certified by two p x p
+    ranks, serves every step; a step is one p x p product and appends
+    block references; the n x n matrix is assembled once, in O(n^2), at
+    the end.
     """
     p = config.p
     rng = SplitMix64(config.seed)
     grid = [[random_invertible(p, config.field, rng)]]
-    for nb in range(1, config.n // p):
-        _grow(grid, *_strip_indices(config.strip, nb, rng))
+    _grow(grid, config.n // p - 1, config.strip, rng)
     return Matrix.from_blocks(grid)
 
 

@@ -261,10 +261,10 @@ class FieldSpec:
     # identity / notation
     # ------------------------------------------------------------------
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and self.kind == other.kind
-                and self.order == other.order
-                and self.modulus == other.modulus)
+        return self is other or (isinstance(other, FieldSpec)
+                                 and self.kind == other.kind
+                                 and self.order == other.order
+                                 and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash((self.kind, self.order, self.modulus))

@@ -134,6 +134,20 @@ def test_completion_all_ranks_property():
             assert corner.rank() == p
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, GF16, prime_field(65521)],
+                         ids=str)
+def test_completion_of_invertible_input_is_that_of_identity_times_it(field):
+    # what border growth rests on: for invertible s the rank normal form
+    # has left = s and right = I, so the completion of s is s times that
+    # of I, and a step needs only the product s @ c
+    rng = SplitMix64(field.order)
+    for p in range(2, 6):
+        a, c = corner_completion(Matrix.identity(field, p))
+        for _ in range(5):
+            s = random_invertible(p, field, rng)
+            assert corner_completion(s) == (s @ a, s @ c)
+
+
 # ----------------------------------------------------------------------
 # extend
 # ----------------------------------------------------------------------
@@ -362,6 +376,37 @@ def test_generate_rejects_singular_completion(monkeypatch, bad):
     monkeypatch.setattr(construct, "corner_completion", broken)
     with pytest.raises(AssertionError):
         generate(GeneratorConfig(n=8, p=2, field=GF3, seed=1))
+
+
+@pytest.mark.parametrize("strip", list(StripChoice))
+def test_generate_completes_once_and_takes_one_product_per_step(
+        monkeypatch, strip):
+    # (A, C) is the completion of I, taken and certified once per run;
+    # each step is then the one product corner = S @ C
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("corner_completion", "rank_decompose"):
+        monkeypatch.setattr(construct, name,
+                            counted(name, getattr(construct, name)))
+    for name in ("__matmul__", "__add__", "rank"):
+        monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
+    per_run = None
+    for n in (2, 4, 10, 18, 34):
+        calls.clear()
+        generate(GeneratorConfig(n=n, p=2, field=GF3, seed=3, strip=strip))
+        steps = n // 2 - 1
+        assert calls.pop("__matmul__") == steps + 2, n
+        # one seed, so the same seed draws: nothing else grows with n
+        per_run = per_run or dict(calls)
+        assert dict(calls) == per_run, n
+    assert per_run["corner_completion"] == per_run["rank_decompose"] == 1
+    assert per_run["__add__"] == 1
 
 
 @pytest.mark.parametrize("strip", list(StripChoice))
