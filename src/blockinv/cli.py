@@ -105,6 +105,7 @@ def cmd_verify(args) -> int:
     except MatrixFileError as e:
         _err(str(e))
         return 2
+    del text  # the matrix holds every code; free the file before checking
     p = args.p if args.p is not None else file_p
     try:
         rep = verify_blocks(m, p)

@@ -144,13 +144,13 @@ def perturbation_matrix(p: int, r: int, field: FieldSpec) -> Matrix:
                  + [[[0, 1], [1, 1]]] * (r // 2 - r % 2))
     # the tiles run down the diagonal of I_p, overwriting its leading
     # entries; the rest of it is the trailing identity
-    rows = [list(row) for row in Matrix.identity(field, p)._rows]
+    rows = [row.tolist() for row in Matrix.identity(field, p)._rows]
     at = 0
     for tile in tiles:
         for i, tile_row in enumerate(tile):
             rows[at + i][at:at + len(tile_row)] = tile_row
         at += len(tile)
-    return Matrix._new(field, tuple(map(tuple, rows)))
+    return Matrix._new(field, tuple(map(field.row, rows)))
 
 
 def corner_completion(s: Matrix) -> tuple[Matrix, Matrix]:
@@ -243,7 +243,8 @@ def _draw(p: int, field: FieldSpec, rng: SplitMix64, low: int = 0) -> Matrix:
     each low + rng.below(order - low), so p*p draws per matrix."""
     span = field.order - low
     return Matrix._new(field, tuple(
-        tuple(low + rng.below(span) for _ in range(p)) for _ in range(p)))
+        field.row([low + rng.below(span) for _ in range(p)])
+        for _ in range(p)))
 
 
 def random_invertible(p: int, field: FieldSpec, rng: SplitMix64) -> Matrix:
@@ -375,4 +376,4 @@ def _all_nonzero_matrices(p: int, field: FieldSpec):
     """All p x p matrices with every entry nonzero, in row-major code order."""
     for codes in itertools.product(range(1, field.order), repeat=p * p):
         yield Matrix._new(field, tuple(
-            codes[i * p:(i + 1) * p] for i in range(p)))
+            field.row(codes[i * p:(i + 1) * p]) for i in range(p)))

@@ -40,7 +40,7 @@ def rank_normal_form(field: FieldSpec, n: int, r: int) -> Matrix:
     if not 0 <= r <= n:
         raise ValueError(f"rank {r} out of range 0..{n}")
     return Matrix._new(field, Matrix.identity(field, n)._rows[:r]
-                       + ((0,) * n,) * (n - r))
+                       + (field.row((0,) * n),) * (n - r))
 
 
 def rank_decompose(s: Matrix) -> RankDecomposition:
@@ -55,11 +55,12 @@ def rank_decompose(s: Matrix) -> RankDecomposition:
     n, f = s.nrows, s.field
 
     rows, pivots = _gauss_jordan(s)
-    eye = Matrix.identity(f, n)._rows
+    eye = [tuple(row) for row in Matrix.identity(f, n)._rows]
     # column k of left: the column of [S | I] under the first e_k in [E | P]
     reduced, source = list(zip(*rows)), [*zip(*s._rows), *eye]
-    left = tuple(zip(*(source[reduced.index(e)] for e in eye)))
-    right = tuple(row[:n] for row in rows[:len(pivots)]) + tuple(
-        eye[j] for j in range(n) if j not in pivots)
-    return RankDecomposition(Matrix._new(f, left), Matrix._new(f, right),
+    left = zip(*(source[reduced.index(e)] for e in eye))
+    right = [row[:n] for row in rows[:len(pivots)]] + [
+        eye[j] for j in range(n) if j not in pivots]
+    return RankDecomposition(Matrix._new(f, tuple(map(f.row, left))),
+                             Matrix._new(f, tuple(map(f.row, right))),
                              len(pivots))

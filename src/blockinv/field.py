@@ -7,12 +7,19 @@ prime field, or the coefficient bitmask for a binary extension field
 type. A FieldSpec validates its parameters once at construction and then
 performs all arithmetic on codes.
 
-A FieldSpec carries its operations as plain function attributes: the
-scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
-the matrix algebra is written in. Rows are handled packed: `pack` turns
-a row of codes into the field's packed row, `unpack` turns it back, and
-`scale(row, a) = a*row` works on a packed row. Two operations take a
-whole list of packed rows at once, each one list comprehension:
+A matrix stores each row as a compact array of codes, the field's
+stored row, whose type only the field picks: an `array` of `typecode`,
+the narrowest unsigned type that holds every code, 'B' for order <= 256
+and 'H' above. `row(codes)` validates a row of codes and returns it as a
+stored row, and `join(rows)` joins stored rows, or their bytes, into one.
+A FieldSpec carries its operations as plain function
+attributes: the scalar `add`, `neg`, `mul` and `inv`, and the row
+operations that all of the matrix algebra is written in. Rows are
+handled packed: `pack` turns a row of codes, a stored row above all,
+into the field's packed row, `store(row, n)` turns a packed row of n
+entries back into a stored row and `unpack(row, n)` into a list of
+codes, and `scale(row, a) = a*row` works on a packed row. Two operations
+take a whole list of packed rows at once, each one list comprehension:
 `column(rows, j)` reads entry j of every row, and the one row update
 `sub_rows(rows, fs, other)` returns the list of `row - f*other` for
 each row and factor f, with a row whose factor is zero returned as it
@@ -25,16 +32,28 @@ arm per field kind, so neither the field nor any caller branches on the
 kind per operation, and no caller sees a packed form:
 
     GF(2)      one int per row, bit j for column j; an update is an XOR.
+               `pack` maps the row's bytes to the digits of a binary
+               numeral (`bytes.translate`) and reads it with `int`;
+               `store` translates the numeral's digits back to bytes.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
                an update is row + (p - f)*other, reduced mod p only by
-               `column`, `scale` and `unpack` (delayed modular
+               `column`, `scale`, `store` and `unpack` (delayed modular
                reduction).
     GF(2^k)    one int per row of w-bit slots, slot j for column j, for
                k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
                the smallest struct width that holds 2k-1 bits. An update
                XORs in the carry-less product f*other (in characteristic
                2, -f = f) and leaves each slot unreduced; `column`,
-               `scale` and `unpack` reduce it mod the modulus.
+               `scale`, `store` and `unpack` reduce it mod the modulus.
+
+Over GF(p) and GF(2^k), `pack` reads a stored row with one bytes copy
+(`int.from_bytes`), first widening each entry to its slot where the
+slot is wider than the entry: the row's bytes are laid into a zeroed
+buffer by strided slice assignment, one per byte of an entry. Over
+GF(2^k), `store` is the reverse: it reduces every slot at once, writes
+the row out as bytes and narrows each slot back to an entry by strided
+slices. A GF(p) slot is reduced mod p one at a time, so there `store`
+builds the stored row from the list `unpack` returns.
 
 A GF(2^k) update forms f*other in one of two ways, with the same result.
 With fewer than _TABLE_ROWS nonzero factors it XORs one shifted copy of
@@ -61,7 +80,7 @@ below 2^(2k-1) inside its own slot; XOR has no carry, so any number of
 updates keeps every slot below 2^(2k-1) <= 2^w. Reduction uses
 x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
 hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
-repeating it leaves the canonical code. `unpack`, and `scale` on a
+repeating it leaves the canonical code. `store`, and `scale` on a
 long row, do this for every slot at once with masks repeated in each
 slot; `column` reads one slot of each row and takes lo XOR hi*r through
 the log/exp tables in one step.
@@ -107,6 +126,8 @@ from __future__ import annotations
 import operator
 import re
 import struct
+import sys
+from array import array
 
 PRIME = "prime"
 BINARY = "binary"
@@ -123,6 +144,12 @@ _SHORT_ROW = 8
 _TABLE_ROWS = 16
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
+#: An array holds its entries in the machine's byte order; packed rows
+#: are read from little-endian bytes.
+_BIG_ENDIAN = sys.byteorder == "big"
+#: The bytes 0 and 1 of a GF(2) stored row as binary digits, and back.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class FieldError(ValueError):
@@ -207,17 +234,19 @@ class FieldSpec:
 
     Immutable after construction; all operations are pure functions of
     their arguments, so a FieldSpec may be shared freely across threads.
-    The attributes `add(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`, the
-    packed-row conversions `pack(codes)` and `unpack(row, n)`, the row
-    operation `scale(row, a)`, the operations on lists of rows
-    `column(rows, j)` and `sub_rows(rows, fs, other)`, and the lane
-    update `lane_adder(gs)` are its arithmetic, bound once by
-    `_arithmetic`.
+    `typecode` is the array typecode of the field's stored rows, which
+    `row(codes)` and `join(rows)` build. The attributes `add(a, b)`, `neg(a)`,
+    `mul(a, b)`, `inv(a)`, the packed-row conversions `pack(codes)`,
+    `store(row, n)` and `unpack(row, n)`, the row operation
+    `scale(row, a)`, the operations
+    on lists of rows `column(rows, j)` and `sub_rows(rows, fs, other)`,
+    and the lane update `lane_adder(gs)` are its arithmetic, bound once
+    by `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
-                 "add", "neg", "mul", "inv", "pack", "unpack", "column",
-                 "scale", "sub_rows", "lane_adder")
+                 "typecode", "add", "neg", "mul", "inv", "pack", "store",
+                 "unpack", "column", "scale", "sub_rows", "lane_adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -254,6 +283,7 @@ class FieldSpec:
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
+        self.typecode = "B" if self.order <= 256 else "H"
         for name, op in _arithmetic(self).items():
             setattr(self, name, op)
 
@@ -284,9 +314,22 @@ class FieldSpec:
 
     def validate_codes(self, codes) -> None:
         """Raise ValueError unless every code is a canonical element here."""
-        if (set(map(type, codes)) == {int} and 0 <= min(codes)
-                and max(codes) < self.order):
-            return
+        self.row(codes)
+
+    def row(self, codes) -> array:
+        """A sequence of codes as a stored row, an array of `typecode`;
+        raises ValueError unless every code is a canonical element here.
+
+        A row of plain ints below the order is packed by one
+        `struct.pack`, which also rejects a negative code, so a sound
+        row is never read code by code in Python; any other row is
+        checked code by code, which names its first bad code."""
+        if set(map(type, codes)) == {int} and max(codes) < self.order:
+            try:
+                return array(self.typecode, struct.pack(
+                    f"{len(codes)}{self.typecode}", *codes))
+            except struct.error:  # a negative code
+                pass
         for code in codes:
             if not isinstance(code, int) or isinstance(code, bool):
                 raise ValueError(
@@ -294,15 +337,49 @@ class FieldSpec:
             if not 0 <= code < self.order:
                 raise ValueError(
                     f"code {_clip(str(code))} out of range for {self}")
+        return array(self.typecode, codes)  # codes of an int subclass
+
+    def join(self, rows) -> array:
+        """Stored rows, or their bytes, end to end as one stored row."""
+        return array(self.typecode, b"".join(rows))
 
 
-def _slot_packer(code: str):
-    """`pack` for rows of equal little-endian slots, slot j for column j,
-    each slot in the struct format `code`."""
-    def pack(codes):
-        return int.from_bytes(struct.pack(f"<{len(codes)}{code}", *codes),
-                              "little")
-    return pack
+def _slot_codec(typecode: str, width: int):
+    """`pack`, and its reverse `narrow`, for rows of equal little-endian
+    slots of `width` bytes, slot j for column j, and stored rows of
+    `typecode` ('B' or 'H'). `pack` reads a stored row with one bytes
+    copy, each entry widened to its slot by one strided slice assignment
+    per byte of the entry; `narrow` takes the bytes of a row of
+    canonical slots back to a stored row by strided slices the same way."""
+    size = array(typecode).itemsize
+
+    def pack(row):
+        if type(row) is not array or _BIG_ENDIAN:
+            row = array(typecode, row)
+            if _BIG_ENDIAN:
+                row.byteswap()
+        if size == width:
+            return int.from_bytes(row, "little")
+        wide = bytearray(width * len(row))
+        if size == 1:
+            wide[::width] = row
+        else:
+            data = row.tobytes()
+            wide[::width], wide[1::width] = data[::2], data[1::2]
+        return int.from_bytes(wide, "little")
+
+    def narrow(data):
+        if size == 1:
+            row = array(typecode, data[::width])
+        else:
+            entries = bytearray(len(data) // width * size)
+            entries[::2], entries[1::2] = data[::width], data[1::width]
+            row = array(typecode, entries)
+            if _BIG_ENDIAN:
+                row.byteswap()
+        return row
+
+    return pack, narrow
 
 
 def _shift_xor(other: int, row: int, a: int) -> int:
@@ -364,9 +441,9 @@ def _generator(k: int, m: int) -> int:
 def _arithmetic(field: FieldSpec) -> dict:
     """The operations of `field` by name, one arm per kind.
 
-    `pack(codes)` turns a row of codes into the arm's packed row and
-    `unpack(row, n)` turns a packed row of n entries back into a list of
-    canonical codes; `column(rows, j)` returns entry j of each of a list
+    `pack(codes)` turns a row of codes into the arm's packed row,
+    `store(row, n)` turns a packed row of n entries back into a stored
+    row of canonical codes and `unpack(row, n)` into a list of them; `column(rows, j)` returns entry j of each of a list
     of packed rows as a list of canonical codes. scale(row, a) is a*row
     with canonical entries. sub_rows(rows, fs, other) takes a list of
     packed rows, a list of as many canonical codes and a canonical row
@@ -374,8 +451,8 @@ def _arithmetic(field: FieldSpec) -> dict:
     row - f*other for each row and its f; a row whose f is zero comes
     back as it is. None of them modifies its arguments. Over GF(p) and
     GF(2^k) the rows `sub_rows` returns may hold unreduced slots, which
-    only `column`, `scale` and `unpack` read (see the module docstring
-    for why no slot overflows). lane_adder(gs) takes a list of canonical
+    only `column`, `scale`, `store` and `unpack` read (see the module
+    docstring for why no slot overflows). lane_adder(gs) takes a list of canonical
     codes and returns add(xs, ys), a new list of canonical codes x + g*y
     for equal length lists xs and ys, lane by lane. inv(0) raises
     ZeroDivisionError.
@@ -393,12 +470,15 @@ def _arithmetic(field: FieldSpec) -> dict:
                 raise ZeroDivisionError(no_inverse)
             return 1
 
-        def pack(codes):
-            return int("".join(["1" if x else "0" for x in reversed(codes)]),
-                       2)
+        def pack(row):
+            return int(bytes(row)[::-1].translate(_TO_DIGITS), 2)
+
+        def store(row, n):
+            return array(field.typecode,
+                         f"{row:0{n}b}".encode()[::-1].translate(_FROM_DIGITS))
 
         def unpack(row, n):
-            return list(map(int, reversed(f"{row:0{n}b}")))
+            return store(row, n).tolist()
 
         def column(rows, j):
             return [row >> j & 1 for row in rows]
@@ -415,8 +495,9 @@ def _arithmetic(field: FieldSpec) -> dict:
             return add
 
         return dict(add=operator.xor, neg=operator.pos, mul=operator.and_,
-                    inv=inv, pack=pack, unpack=unpack, column=column,
-                    scale=scale, sub_rows=sub_rows, lane_adder=lane_adder)
+                    inv=inv, pack=pack, store=store, unpack=unpack,
+                    column=column, scale=scale, sub_rows=sub_rows,
+                    lane_adder=lane_adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
@@ -437,13 +518,16 @@ def _arithmetic(field: FieldSpec) -> dict:
         def inv(a):
             if not a:
                 raise ZeroDivisionError(no_inverse)
-            return pow(a, p - 2, p)
+            return pow(a, -1, p)
 
-        pack = _slot_packer("Q")
+        pack, _ = _slot_codec(field.typecode, 8)
 
         def unpack(row, n):
             return [x % p for x in
                     struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))]
+
+        def store(row, n):
+            return array(field.typecode, unpack(row, n))
 
         def column(rows, j):
             s = j << 6
@@ -463,7 +547,7 @@ def _arithmetic(field: FieldSpec) -> dict:
             return add
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
-                    unpack=unpack, column=column, scale=scale,
+                    store=store, unpack=unpack, column=column, scale=scale,
                     sub_rows=sub_rows, lane_adder=lane_adder)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
@@ -471,9 +555,6 @@ def _arithmetic(field: FieldSpec) -> dict:
     # q - 1 powers; v*g is linear in v, so a step reads it off one table
     # per byte of v. The tables are laid out as the module docstring
     # says: exp doubled and then zero-padded, log[0] the zero sentinel.
-    # `array` is imported here, so GF(2) and GF(p) runs never load it.
-    from array import array
-
     k, q, m = field.degree, field.order, field.modulus
     n = q - 1
     g = _generator(k, m)
@@ -485,14 +566,16 @@ def _arithmetic(field: FieldSpec) -> dict:
         t <<= 1
         if t >> k:
             t ^= m
-    exp = array("H", bytes(2 * (4 * n + 1)))
-    log = array("I", bytes(4 * q))
+    exp = array("H", [0]) * (4 * n + 1)
+    log = array("I", [0]) * q
     v = 1
     for i in range(n):
         exp[i] = v
         log[v] = i
         v = lo[v & 255] ^ hi[v >> 8]
-    exp[n:2 * n] = exp[:n]
+    view = memoryview(exp)  # copies the powers with no temporary array
+    view[n:2 * n] = view[:n]
+    view.release()
     log[0] = 2 * n
 
     def mul(a, b):
@@ -507,7 +590,7 @@ def _arithmetic(field: FieldSpec) -> dict:
     # a polynomial of degree below 2k - 1 that is reduced mod m only when
     # read, by x^k = r (see the module docstring). `reduce` folds every
     # slot at once: lo keeps bits 0..k-1 of each slot, top the rest.
-    w, code = (8, "B") if k <= 4 else (16, "H") if k <= 8 else (32, "I")
+    w = 8 if k <= 4 else 16 if k <= 8 else 32
     nbytes, slot, low = w // 8, (1 << w) - 1, q - 1
     r = m ^ q
     r_bits = [i for i in range(k) if r >> i & 1]
@@ -526,11 +609,13 @@ def _arithmetic(field: FieldSpec) -> dict:
             hi = row & top
         return row
 
-    pack = _slot_packer(code)
+    pack, narrow = _slot_codec(field.typecode, nbytes)
+
+    def store(row, n):
+        return narrow(reduce(row).to_bytes(nbytes * n, "little"))
 
     def unpack(row, n):
-        return list(struct.unpack(f"<{n}{code}",
-                                  reduce(row).to_bytes(nbytes * n, "little")))
+        return store(row, n).tolist()
 
     def column(rows, j):
         s = j * w
@@ -574,8 +659,8 @@ def _arithmetic(field: FieldSpec) -> dict:
         return add
 
     return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv, pack=pack,
-                unpack=unpack, column=column, scale=scale, sub_rows=sub_rows,
-                lane_adder=lane_adder)
+                store=store, unpack=unpack, column=column, scale=scale,
+                sub_rows=sub_rows, lane_adder=lane_adder)
 
 
 def prime_field(p: int) -> FieldSpec:

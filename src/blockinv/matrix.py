@@ -1,23 +1,31 @@
 """Dense exact matrix algebra over a FieldSpec.
 
 Matrices are immutable values: every operation returns a fresh Matrix and
-any matrix can be read concurrently. Entries are stored row-major as
-tuples of int codes of the attached field, so blocks, files and hashes
-see plain codes.
+any matrix can be read concurrently. Entries are stored row-major, each
+row as the field's stored row, a compact array of codes whose type the
+field picks: one or two bytes per entry where a tuple of ints takes
+about 36. Rows come from the field: `FieldSpec.row` validates the
+constructor's input (and the few rows built here from plain codes), and
+a result computed on packed rows is stored with `FieldSpec.store`. No
+method hands a row object out: entries, `to_lists` and `str` give plain
+int codes, equality compares the rows, and the hash reads their bytes.
+A block is a slice of each of its rows, and `from_blocks` and `kron`
+join stored rows with `FieldSpec.join`, so none of them unboxes an
+entry.
 
 Arithmetic on rows runs on the field's packed rows: an operation packs
 its operand rows with `pack`, works on them with `scale(row, a) = a*row`
 and with two operations on whole lists of rows, `column(rows, j)`, which
 reads column j, and the one row update `sub_rows(rows, fs, other)`,
-which returns each row minus its factor times `other`; it unpacks its
-result with `unpack` (see field.py for each field's packed form). This
+which returns each row minus its factor times `other`; it stores its
+result with `store` (see field.py for each field's packed form). This
 module never branches on the field kind and never counts rows for the
 field: `sub_rows` sees every factor of an update at once, so over
 GF(2^k) it decides itself whether enough of them are nonzero to share
 product tables. Elimination reads each pivot column once and clears it
 with one `sub_rows` call. A product makes one call per row of its right
 factor, with the negated matching left column as the factors, and
-unpacks once per output row. The Kronecker product scales rows, and
+stores each output row once. The Kronecker product scales rows, and
 addition adds codes with the scalar `add`.
 
 Elimination is one forward pass, `_echelon`: it normalises each pivot
@@ -102,18 +110,18 @@ def _row_reduce(rows: list, field: FieldSpec, width: int) -> list[int]:
     return pivots
 
 
-def _gauss_jordan(m: "Matrix") -> tuple[list[tuple], list[int]]:
+def _gauss_jordan(m: "Matrix") -> tuple[list, list[int]]:
     """Reduce [M | I] for a square M to [E | P], with P @ M = E.
 
     E is the reduced row-echelon form of M, so P = M^-1 when M is
-    invertible. Returns the rows of [E | P] as tuples of 2n codes, and
-    E's pivot columns.
+    invertible. Returns the rows of [E | P] as stored rows of 2n codes,
+    and E's pivot columns.
     """
     f, n = m.field, m.nrows
     rows = [f.pack(row + unit) for row, unit in
             zip(m._rows, Matrix.identity(f, n)._rows)]
     pivots = _row_reduce(rows, f, n)
-    return [tuple(f.unpack(row, 2 * n)) for row in rows], pivots
+    return [f.store(row, 2 * n) for row in rows], pivots
 
 
 class Matrix:
@@ -122,22 +130,24 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: FieldSpec, rows):
-        data = tuple(tuple(row) for row in rows)
-        if not data or not data[0]:
+        rows = [row if isinstance(row, (list, tuple)) else tuple(row)
+                for row in rows]
+        if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
-        w = len(data[0])
-        for row in data:
+        w = len(rows[0])
+        for i, row in enumerate(rows):
             if len(row) != w:
                 raise ValueError("rows have inconsistent lengths")
-            field.validate_codes(row)
+            rows[i] = field.row(row)
         self.field = field
-        self.nrows = len(data)
+        self.nrows = len(rows)
         self.ncols = w
-        self._rows = data
+        self._rows = tuple(rows)
 
     @classmethod
     def _new(cls, field, rows_tuple):
-        # Internal fast path: trusts that codes are already canonical.
+        # Internal fast path: trusts that the rows are stored rows of
+        # `field` (see `FieldSpec.row`) of one length.
         m = object.__new__(cls)
         m.field = field
         m._rows = rows_tuple
@@ -150,7 +160,8 @@ class Matrix:
         if n < 1:
             raise ValueError("size must be positive")
         return cls._new(field, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+            field.row([1 if i == j else 0 for j in range(n)])
+            for i in range(n)))
 
     # ------------------------------------------------------------------
     # basics
@@ -160,7 +171,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self._rows]
+        return [row.tolist() for row in self._rows]
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -172,13 +183,13 @@ class Matrix:
                 and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self._rows))
+        return hash((self.field, self.nrows, b"".join(self._rows)))
 
     def __repr__(self):
         return f"<Matrix {self.nrows}x{self.ncols} over {self.field}>"
 
     def __str__(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self._rows)
+        return "\n".join(" ".join(map(str, row)) for row in self._rows)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -196,9 +207,9 @@ class Matrix:
             raise ValueError(
                 f"cannot add {self.nrows}x{self.ncols} and "
                 f"{other.nrows}x{other.ncols}")
-        add = self.field.add
-        return Matrix._new(self.field, tuple(
-            tuple(map(add, ra, rb))
+        f = self.field
+        return Matrix._new(f, tuple(
+            f.row([*map(f.add, ra, rb)])
             for ra, rb in zip(self._rows, other._rows)))
 
     def __matmul__(self, other):
@@ -218,7 +229,7 @@ class Matrix:
         acc = [pack((0,) * n)] * self.nrows
         for brow, col in zip(other._rows, zip(*self._rows)):
             acc = sub_rows(acc, list(map(neg, col)), pack(brow))
-        return Matrix._new(f, tuple(tuple(f.unpack(x, n)) for x in acc))
+        return Matrix._new(f, tuple(f.store(x, n) for x in acc))
 
     def rank(self) -> int:
         rows = [self.field.pack(row) for row in self._rows]
@@ -249,8 +260,8 @@ class Matrix:
         out = []
         for arow in self._rows:
             for brow in brows:
-                out.append(tuple(x for a in arow
-                                 for x in f.unpack(f.scale(brow, a), n)))
+                out.append(f.join([f.store(f.scale(brow, a), n)
+                                   for a in arow]))
         return Matrix._new(f, tuple(out))
 
     def _check_block_size(self, p: int):
@@ -290,9 +301,5 @@ class Matrix:
                     raise FieldMismatchError("blocks over different fields")
                 if b.nrows != h or b.ncols != w:
                     raise ValueError("block dimensions are inconsistent")
-            for i in range(h):
-                merged = []
-                for b in grow:
-                    merged.extend(b._rows[i])
-                rows.append(tuple(merged))
+            rows += map(field.join, zip(*(b._rows for b in grow)))
         return cls._new(field, tuple(rows))

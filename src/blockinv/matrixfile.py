@@ -16,8 +16,14 @@ fields::
      "cols": 6, "p": 2, "data": [[1,0,...], ...]}
 
 Both writers are byte-deterministic, loaders leave the element codes to
-the field (through `Matrix`), and load(save(m)) reproduces the matrix
+the field (`FieldSpec.row`), and load(save(m)) reproduces the matrix
 exactly, modulus included (binary field notation spells out the modulus).
+A loader converts each row to the field's stored row as soon as it has
+read it, a text line as it parses it and a JSON row in place in the
+decoded list, so the ints of one row at a time are alive, not those of
+the whole matrix beside a copy. The errors are those of reading every
+row first: a malformed text line before a row of the wrong length, and
+that before a code the field rejects, the first in row order.
 """
 
 from __future__ import annotations
@@ -96,8 +102,8 @@ def _load_text(text: str) -> tuple[Matrix, int]:
     if len(body) != nrows:
         raise MatrixFileError(
             f"expected {_clip(str(nrows))} data rows, found {len(body)}")
-    rows = [_ints(ln, "entry in row") for ln in body]
-    return _build(field, ncols, rows), p
+    return _build(field, ncols, body,
+                  lambda line: _ints(line, "entry in row")), p
 
 
 def _ints(line: str, what: str) -> list[int]:
@@ -171,12 +177,26 @@ def _check_shape(nrows: int, ncols: int, p: int):
         raise MatrixFileError(f"bad block size {_clip(str(p))}")
 
 
-def _build(field, ncols, rows) -> Matrix:
-    for row in rows:
+def _build(field, ncols, rows: list, read=None) -> Matrix:
+    """The matrix of `rows`, each replaced in place by its stored row.
+
+    A row is read with `read` first, if given, and must be a list of
+    `ncols` codes. Once a row is wrong, later rows are only read and
+    measured, so that the error raised is the one the checks give in
+    their order (see the module docstring)."""
+    shaped, bad_code = True, None
+    for i, row in enumerate(rows):
+        if read:
+            row = read(row)
         if not isinstance(row, list) or len(row) != ncols:
-            raise MatrixFileError(
-                f"expected {_clip(str(ncols))} entries per row")
-    try:
-        return Matrix(field, rows)
-    except ValueError as e:  # a code the field rejects
-        raise MatrixFileError(str(e)) from None
+            shaped = False
+        elif shaped and bad_code is None:
+            try:
+                rows[i] = field.row(row)
+            except ValueError as e:  # a code the field rejects
+                bad_code = e
+    if not shaped:
+        raise MatrixFileError(f"expected {_clip(str(ncols))} entries per row")
+    if bad_code is not None:
+        raise MatrixFileError(str(bad_code))
+    return Matrix._new(field, tuple(rows))

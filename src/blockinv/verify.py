@@ -6,24 +6,30 @@ its input through it, and the test suite cross-checks every verdict
 against whether `inverse()` succeeds. Verdicts are gathered in
 row-major block order, so the report is deterministic.
 
+The whole matrix is decided first, by its rank (`Matrix.rank`, the
+packed-row kernel): it is invertible exactly when its rank is its size.
+Its packed rows are freed before any block is cut, so the two phases
+never hold their working sets at once.
+
 A block's verdict depends only on its contents, so each distinct block
 is decided once and its verdict reused wherever it recurs. This matters
 for generated matrices: a growth step copies blocks of M into its
 border and derives the corner from one of them, so a 256 x 256 output
 with 4 x 4 blocks has 4096 blocks but only a handful of distinct ones.
 The report counts the distinct blocks and the most copies of any one.
+A block is keyed by its bytes: the slices of its p stored rows (compact
+arrays of codes, see field.py), joined.
 
 The distinct blocks are decided together, up to _BATCH at a time, by
 one forward elimination over lanes: lane (i, j) holds entry (i, j) of
-every block in the batch. Each row update is one call of the field's
+every block in the batch, one strided slice of the batch's keys joined
+into one stored row. Each row update is one call of the field's
 lane update (`FieldSpec.lane_adder`), a single list comprehension over
 a whole lane, so the per-call cost of an elimination is paid once per
 batch instead of once per block, and no field operation is called per
 entry. Each block searches its own pivot and swaps rows only inside its
 own lanes; a p x p block is invertible exactly when every one of its p
-columns yields a pivot, so the verdicts are exact. The whole matrix is
-decided by its rank (`Matrix.rank`, the packed-row kernel): it is
-invertible exactly when its rank is its size.
+columns yields a pivot, so the verdicts are exact.
 """
 
 from __future__ import annotations
@@ -55,11 +61,14 @@ class BlockReport(namedtuple("BlockReport", (
     __slots__ = ()
 
 
-def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
-    """Whether each of `blocks`, p x p tuples of row tuples over `field`,
-    is invertible, by one forward elimination over all of them at once.
+def _invertible(blocks: list[bytes], field: FieldSpec, p: int) -> list[bool]:
+    """Whether each of `blocks`, the bytes of p x p blocks of stored rows
+    over `field`, row after row, is invertible, by one forward
+    elimination over all of them at once.
 
-    lanes[i][j][b] is entry (i, j) of block b. Column c of every block
+    lanes[i][j][b] is entry (i, j) of block b: the blocks' bytes are
+    joined into one stored row (`FieldSpec.join`), and each lane is one
+    strided slice of it. Column c of every block
     takes row c as its pivot row; a block whose entry there is zero
     swaps in the first row below it with a nonzero entry, and a block
     with none is singular. A singular block clears nothing in that
@@ -71,7 +80,8 @@ def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
     """
     lane_adder, mul, neg, inv = (field.lane_adder, field.mul, field.neg,
                                  field.inv)
-    lanes = [[list(col) for col in zip(*(b[i] for b in blocks))]
+    codes, size = field.join(blocks), p * p
+    lanes = [[codes[i * p + j::size].tolist() for j in range(p)]
              for i in range(p)]
     ok = [True] * len(blocks)
     for c in range(p):
@@ -97,15 +107,18 @@ def _invertible(blocks: list, field: FieldSpec, p: int) -> list[bool]:
 def verify_blocks(m: Matrix, p: int) -> BlockReport:
     """Check every p x p block of m, and m itself when square."""
     m._check_block_size(p)
+    # first, so that the packed rows of the rank are freed before the
+    # blocks are cut
+    whole = m.is_invertible() if m.is_square else None
 
-    index = {}  # block rows -> its number among the distinct blocks
+    index = {}  # block bytes -> its number among the distinct blocks
     grid = []   # the number of the block at each position
-    for i in range(m.nrows // p):
-        strip = m._rows[i * p:(i + 1) * p]
+    for i in range(0, m.nrows, p):
+        strip = m._rows[i:i + p]
         grid.append([
-            index.setdefault(tuple(r[j * p:(j + 1) * p] for r in strip),
+            index.setdefault(b"".join([r[j:j + p] for r in strip]),
                              len(index))
-            for j in range(m.ncols // p)])
+            for j in range(0, m.ncols, p)])
     distinct = list(index)
     ok = []
     for s in range(0, len(distinct), _BATCH):
@@ -113,8 +126,6 @@ def verify_blocks(m: Matrix, p: int) -> BlockReport:
     verdicts = tuple(tuple(ok[k] for k in row) for row in grid)
     failing = tuple((i, j) for i, row in enumerate(verdicts)
                     for j, v in enumerate(row) if not v)
-
-    whole = m.is_invertible() if m.is_square else None
 
     all_blocks = not failing
     return BlockReport(

@@ -86,6 +86,36 @@ def test_no_field_representation_outside_field_module(path):
     assert violations(path.read_text(encoding="utf-8"), path.name) == []
 
 
+def row_type_leaks(source: str, module: str) -> list[str]:
+    """References to the stored-row type: its typecode or `array`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "typecode":
+            found.append(f"{module}:{node.lineno} .typecode")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "array" in (
+                [getattr(node, "module", None)]
+                + [a.name for a in node.names]):
+            found.append(f"{module}:{node.lineno} imports array")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "field.py"),
+    ids=lambda p: p.name)
+def test_only_field_module_knows_the_row_type(path):
+    # rows are built by FieldSpec.row, join and store, never by hand
+    assert row_type_leaks(path.read_text(encoding="utf-8"), path.name) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "r = array(f.typecode, codes)",
+    "from array import array",
+    "import array",
+])
+def test_row_type_guard_flags_each_leak(snippet):
+    assert row_type_leaks(snippet, "matrix.py")
+
+
 @pytest.mark.parametrize("snippet", [
     "if f.kind == 'prime': pass",
     "exp, log = field._mul_tables()",

@@ -1,12 +1,14 @@
 """Matrix algebra: multiply, invert, rank, Kronecker, blocking."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import FieldMismatchError, Matrix, SingularMatrixError
+from blockinv.matrixfile import dump_json, dump_text, load
 
 from oracles import zeros
 
@@ -253,6 +255,49 @@ def test_equality_includes_field():
     assert Matrix(GF2, [[1]]) != Matrix(GF3, [[1]])
     assert Matrix(GF5, [[1, 2]]) == Matrix(GF5, [[1, 2]])
     assert hash(Matrix(GF5, [[1, 2]])) == hash(Matrix(GF5, [[1, 2]]))
+
+
+@pytest.mark.parametrize("field", [GF5, GF16, binary_field(16),
+                                   prime_field(65521)], ids=str)
+def test_equal_matrices_hash_equal_however_built(field):
+    rnd = random.Random(str(field))
+    m = random_invertible(field, 4, rnd)
+    eye = Matrix.identity(field, 4)
+    grid = [[m.block(2, i, j) for j in range(2)] for i in range(2)]
+    built = [Matrix(field, m.to_lists()),
+             Matrix(field, (iter(row) for row in m.to_lists())),
+             m @ eye, eye @ m, m.inverse().inverse(), m + zeros(field, 4, 4),
+             Matrix.from_blocks(grid), load(dump_text(m, 2))[0],
+             load(dump_json(m, 2))[0]]
+    for other in built:
+        assert other == m and hash(other) == hash(m)
+    # the same codes in another shape are another matrix
+    assert Matrix(field, [sum(m.to_lists(), [])]) != m
+    # a set of blocks keeps one of each: the identity's blocks, those of
+    # a strip assembled from them, and a unit block built from codes
+    strip = Matrix.from_blocks([[eye.block(2, 1, 1), eye.block(2, 0, 1)]])
+    blocks = {eye.block(2, i, j) for i in (0, 1) for j in (0, 1)}
+    blocks |= {strip.block(2, 0, 0), strip.block(2, 0, 1),
+               Matrix(field, [[1, 0], [0, 1]])}
+    assert blocks == {Matrix.identity(field, 2), zeros(field, 2, 2)}
+
+
+@pytest.mark.parametrize("field", [binary_field(16), prime_field(65521)],
+                         ids=str)
+def test_rows_are_stored_compactly(field):
+    # two bytes a code: 256 rows of 256 codes take 128 KiB and a small
+    # header per row, where tuples of int references took over 512 KiB
+    rnd = random.Random(256)
+    codes = [[rnd.randrange(field.order) for _ in range(256)]
+             for _ in range(256)]
+    tracemalloc.start()
+    try:
+        m = Matrix(field, codes)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 300_000
+    assert m.to_lists() == codes
 
 
 @settings(deadline=None)

@@ -179,6 +179,27 @@ def test_loader_and_constructor_reject_the_same_codes(code):
     assert str(loaded.value) == str(direct.value)
 
 
+@pytest.mark.parametrize("field", [GF7, prime_field(65521), binary_field(16)],
+                         ids=str)
+@pytest.mark.parametrize("code", [True, 2.0, -1, "order", 1 << 70], ids=repr)
+def test_rejected_code_messages(field, code):
+    code = field.order if code == "order" else code
+    message = (f"element code must be an int, got {code!r}"
+               if type(code) is not int else
+               f"code {code} out of range for {field}")
+    with pytest.raises(ValueError) as direct:
+        Matrix(field, [[0, code]])
+    obj = json.loads(dump_json(Matrix(field, [[0, 0]]), 1))
+    obj["data"] = [[0, code]]
+    with pytest.raises(MatrixFileError) as loaded:
+        load(json.dumps(obj))
+    assert str(direct.value) == str(loaded.value) == message
+    if type(code) is int:  # the text format spells only ints
+        with pytest.raises(MatrixFileError) as read:
+            load(f"bim v1\n{field}\n1 2 1\n0 {code}\n")
+        assert str(read.value) == message
+
+
 def test_int_subclass_code_accepted():
     assert Matrix(GF7, [[Code.ONE]]) == Matrix(GF7, [[1]])
 

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,6 +13,8 @@ from blockinv import verify
 from blockinv.construct import GeneratorConfig, generate
 from blockinv.field import binary_field, prime_field
 from blockinv.matrix import Matrix, SingularMatrixError
+from blockinv.matrixfile import dump_json, load
+from blockinv.rng import SplitMix64
 from blockinv.verify import (render_report, render_report_json,
                              report_as_dict, verify_blocks)
 from oracles import SLOW_REDUCTION, scalar_rref, zeros
@@ -185,7 +189,7 @@ def test_each_distinct_block_is_batched_once(monkeypatch, m, p):
     monkeypatch.setattr(verify, "_invertible", batch)
     monkeypatch.setattr(Matrix, "rank", counted)
     rep = verify_blocks(m, p)
-    blocks = {m.block(p, i, j)._rows for i in range(m.nrows // p)
+    blocks = {b"".join(m.block(p, i, j)._rows) for i in range(m.nrows // p)
               for j in range(m.ncols // p)}
     assert len(batched) == len(set(batched)) == rep.distinct_blocks
     assert set(batched) == blocks
@@ -271,3 +275,31 @@ def test_verdicts_across_batch_boundaries(field, p, count):
             blocks.append(b)
     rep = assert_exact_verdicts(grid_matrix(field, blocks, kc), p, blocks, kc)
     assert rep.distinct_blocks == count
+
+
+def test_received_file_peak_memory_follows_its_layout():
+    # A received 256 x 256 GF(2^16) JSON file of random codes, with a
+    # zero block planted at (0, 0). Decoding it makes one int object and
+    # one list slot per code; each row is then converted to two bytes a
+    # code and its list freed. The field's log/exp arrays take 12 bytes
+    # per element. Loading and checking the file may peak above the sum
+    # of those by 5% at most: no copy of the codes is made, and the
+    # check's rank and blocks come after the decoded document is freed.
+    field, n, p = binary_field(16), 256, 8
+    rng = SplitMix64(0xA0D17)
+    codes = [[0 if i < p and j < p else rng.below(field.order)
+              for j in range(n)] for i in range(n)]
+    text = dump_json(Matrix(field, codes), p)
+    del codes
+    decoded = n * n * (sys.getsizeof(field.order - 1) + 8)
+    tables = 2 * (4 * (field.order - 1) + 1) + 4 * field.order
+    stored = 2 * n * n
+    tracemalloc.start()
+    try:
+        m, file_p = load(text)
+        rep = verify_blocks(m, file_p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.failing_blocks == ((0, 0),)
+    assert peak < 1.05 * (decoded + tables + stored)
