@@ -297,7 +297,7 @@ class Matrix:
                 raise ValueError("block grid rows have inconsistent lengths")
             h = grow[0].nrows
             for b, w in zip(grow, widths):
-                if b.field != field:
+                if b.field is not field and b.field != field:
                     raise FieldMismatchError("blocks over different fields")
                 if b.nrows != h or b.ncols != w:
                     raise ValueError("block dimensions are inconsistent")

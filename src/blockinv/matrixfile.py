@@ -19,11 +19,17 @@ Both writers are byte-deterministic, loaders leave the element codes to
 the field (`FieldSpec.row`), and load(save(m)) reproduces the matrix
 exactly, modulus included (binary field notation spells out the modulus).
 A loader converts each row to the field's stored row as soon as it has
-read it, a text line as it parses it and a JSON row in place in the
-decoded list, so the ints of one row at a time are alive, not those of
-the whole matrix beside a copy. The errors are those of reading every
-row first: a malformed text line before a row of the wrong length, and
-that before a code the field rejects, the first in row order.
+read it, so the ints of one row at a time are alive, not those of the
+whole matrix beside a copy. The text loader converts each line as it
+parses it. The JSON loader walks the top-level object itself, decoding
+each key and value with json's scanner, and decodes a "data" array one
+row at a time; once "field" and "cols" have been read, each row is
+converted before the next is decoded. Rows read before both are known
+are converted after the walk. Either way the errors are those of
+decoding and reading every row first: a JSON syntax error anywhere,
+then the header checks, then a malformed text line before a row of the
+wrong length, and that before a code the field rejects, the first in
+row order.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 
-from .field import FieldError, _clip, parse_field
+from .field import FieldError, FieldSpec, _clip, parse_field
 from .matrix import Matrix
 
 MAGIC = "bim v1"
@@ -44,6 +50,9 @@ FORMATS = (TEXT, JSON)
 #: gives an int: ASCII digits after an optional "-", no leading zero and
 #: no "-0". re's \s and str.split() both split on str.isspace() characters.
 _SPELLED_LINE = re.compile(r"\s*(?:(?:0|-?[1-9][0-9]*)(?:\s+|\Z))*")
+
+#: JSON's whitespace, which json's own scanner skips between tokens.
+_SPACE = re.compile(r"[ \t\n\r]*")
 
 
 class MatrixFileError(ValueError):
@@ -134,12 +143,14 @@ def _json_int(token: str) -> int:
 
 
 def _load_json(text: str) -> tuple[Matrix, int]:
+    # a hook on every int would slow every load, so only a text that
+    # may hold -0 is decoded with it
+    decoder = json.JSONDecoder(parse_int=_json_int if "-0" in text else None)
     try:
-        obj = json.loads(text)
-        if "-0" in text:
-            # a hook on every int would slow every load, so only a text
-            # that may hold -0 is parsed again with it
-            obj = json.loads(text, parse_int=_json_int)
+        if text.startswith("{"):
+            obj, stored = _read_object(text, decoder.raw_decode)
+        else:
+            obj, stored = decoder.decode(text), 0
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal over the int-conversion
         # limit, nesting deeper than the decoder's recursion limit, or -0
@@ -153,10 +164,9 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     for key in ("field", "rows", "cols", "p", "data"):
         if key not in obj:
             raise MatrixFileError(f"missing key {key!r}")
-    try:
-        field = parse_field(str(obj["field"]))
-    except FieldError as e:
-        raise MatrixFileError(f"bad field: {e}") from None
+    field = obj["field"]
+    if isinstance(field, FieldError):
+        raise MatrixFileError(f"bad field: {field}")
     nrows, ncols, p = obj["rows"], obj["cols"], obj["p"]
     if not all(isinstance(v, int) and not isinstance(v, bool)
                for v in (nrows, ncols, p)):
@@ -166,7 +176,95 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     if not isinstance(data, list) or len(data) != nrows:
         raise MatrixFileError(
             f"data must be a list of {_clip(str(nrows))} rows")
-    return _build(field, ncols, data), p
+    return _build(field, ncols, data, stored=stored), p
+
+
+def _read_object(s: str, decode) -> tuple[dict, int]:
+    """The members of the JSON object `s`, the last of a repeated key
+    winning as in json.loads, and how many leading rows of "data" are
+    stored rows. `decode` is a JSONDecoder's raw_decode; a syntax error
+    raises json's JSONDecodeError, with json's wording and position.
+
+    "field" is parsed as soon as it is read, and kept as its FieldSpec or
+    the FieldError that parsing raised. A "data" array is read by
+    `_read_rows`, which stores rows while it knows the field and "cols".
+    Stored rows checked against a field or "cols" that a later member
+    replaced are turned back into lists, for `_build` to read again."""
+    members = {}
+    stored, checked = 0, None
+    i = _SPACE.match(s, 1).end()
+    if s[i:i + 1] != "}":
+        while True:
+            if s[i:i + 1] != '"':
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", s, i)
+            key, i = decode(s, i)
+            i = _SPACE.match(s, i).end()
+            if s[i:i + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
+            i = _SPACE.match(s, i + 1).end()
+            if key == "data" and s[i:i + 1] == "[":
+                checked = members.get("field"), members.get("cols")
+                members[key], stored, i = _read_rows(s, i, decode, *checked)
+            else:
+                value, i = decode(s, i)
+                if key == "field":
+                    try:
+                        value = parse_field(str(value))
+                    except FieldError as e:
+                        value = e
+                elif key == "data":
+                    stored = 0
+                members[key] = value
+            i = _SPACE.match(s, i).end()
+            if s[i:i + 1] == "}":
+                break
+            if s[i:i + 1] != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+            i = _SPACE.match(s, i + 1).end()
+    end = _SPACE.match(s, i + 1).end()
+    if end != len(s):
+        raise json.JSONDecodeError("Extra data", s, end)
+    if stored and checked != (members["field"], members["cols"]):
+        rows = members["data"]
+        rows[:stored] = map(list, rows[:stored])
+        stored = 0
+    return members, stored
+
+
+def _read_rows(s: str, i: int, decode, field, ncols) -> tuple[list, int, int]:
+    """The elements of the JSON array at s[i], how many leading ones are
+    stored rows, and the index after the array.
+
+    Each element is decoded on its own. If `field` is a FieldSpec and
+    `ncols` a positive int, then while every element so far was a list
+    of `ncols` codes that the field accepts, each is replaced by its
+    stored row before the next is decoded; the first that is not stays
+    as decoded, as do all after it."""
+    rows, stored = [], 0
+    storing = isinstance(field, FieldSpec) and type(ncols) is int and ncols > 0
+    i = _SPACE.match(s, i + 1).end()
+    if s[i:i + 1] == "]":
+        return rows, 0, i + 1
+    while True:
+        row, i = decode(s, i)
+        if storing and type(row) is list and len(row) == ncols:
+            try:
+                row = field.row(row)
+            except ValueError:  # a code the field rejects
+                storing = False
+            else:
+                stored += 1
+        else:
+            storing = False
+        rows.append(row)
+        i = _SPACE.match(s, i).end()
+        if s[i:i + 1] == "]":
+            break
+        if s[i:i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _SPACE.match(s, i + 1).end()
+    return rows, stored, i + 1
 
 
 def _check_shape(nrows: int, ncols: int, p: int):
@@ -177,15 +275,17 @@ def _check_shape(nrows: int, ncols: int, p: int):
         raise MatrixFileError(f"bad block size {_clip(str(p))}")
 
 
-def _build(field, ncols, rows: list, read=None) -> Matrix:
+def _build(field, ncols, rows: list, read=None, stored=0) -> Matrix:
     """The matrix of `rows`, each replaced in place by its stored row.
 
-    A row is read with `read` first, if given, and must be a list of
-    `ncols` codes. Once a row is wrong, later rows are only read and
-    measured, so that the error raised is the one the checks give in
-    their order (see the module docstring)."""
+    The first `stored` rows are stored rows already. Each other row is
+    read with `read` first, if given, and must be a list of `ncols`
+    codes. Once a row is wrong, later rows are only read and measured,
+    so that the error raised is the one the checks give in their order
+    (see the module docstring)."""
     shaped, bad_code = True, None
-    for i, row in enumerate(rows):
+    for i in range(stored, len(rows)):
+        row = rows[i]
         if read:
             row = read(row)
         if not isinstance(row, list) or len(row) != ncols:

@@ -8,13 +8,18 @@ a rank decomposition is valid, using the library's own algebra.
 `SLOW_REDUCTION` is the field whose packed rows are slowest to read.
 `zeros` builds a zero matrix. `fixed_free_count` and `two_block_count`
 are exact counts that enumeration checks at small sizes and that stand
-in for it beyond them.
+in for it beyond them. `load_json` reads a JSON matrix file by decoding
+the whole document with `json.loads` before any check.
 """
+
+import json
 
 from blockinv.construct import gl_count
 from blockinv.decompose import RankDecomposition, rank_normal_form
-from blockinv.field import _is_irreducible, binary_field
+from blockinv.field import FieldError, _clip, _is_irreducible, binary_field
+from blockinv.field import parse_field
 from blockinv.matrix import Matrix, SingularMatrixError
+from blockinv.matrixfile import MatrixFileError
 
 #: The first GF(2^16) modulus x^16 + x^15 + ... : r = m XOR x^16 has degree
 #: 15, so each reduction round lowers a slot's high part by one degree
@@ -120,3 +125,56 @@ def two_block_count(p: int, q: int) -> int:
     so the count is |GL(p, q)|^3 N(p, q).
     """
     return gl_count(p, q) ** 3 * fixed_free_count(p, q)
+
+
+def _no_minus_zero(token: str) -> int:
+    if token == "-0":
+        raise MatrixFileError("non-integer number -0")
+    return int(token)
+
+
+def load_json(text: str) -> tuple[Matrix, int]:
+    """(matrix, p) of a JSON matrix file, or MatrixFileError.
+
+    The whole document is decoded by `json.loads`, and decoded again with
+    a hook that rejects the integer -0 if the text holds "-0". Then come
+    the checks, in order: a "bim" object, version 1, every key present,
+    the field, integer rows, cols and p, the shape, a list of `rows`
+    rows, `cols` entries in each row, and the first code that
+    `Matrix(field, rows)` rejects."""
+    try:
+        obj = json.loads(text)
+        if "-0" in text:
+            obj = json.loads(text, parse_int=_no_minus_zero)
+    except (ValueError, RecursionError) as e:
+        raise MatrixFileError(f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict) or obj.get("format") != "bim":
+        raise MatrixFileError("not a bim matrix object")
+    version = obj.get("version")
+    if type(version) is not int or version != 1:
+        raise MatrixFileError(f"unsupported version {_clip(repr(version))}")
+    for key in ("field", "rows", "cols", "p", "data"):
+        if key not in obj:
+            raise MatrixFileError(f"missing key {key!r}")
+    try:
+        field = parse_field(str(obj["field"]))
+    except FieldError as e:
+        raise MatrixFileError(f"bad field: {e}") from None
+    nrows, ncols, p = obj["rows"], obj["cols"], obj["p"]
+    if not all(type(v) is int for v in (nrows, ncols, p)):
+        raise MatrixFileError("rows, cols and p must be integers")
+    if nrows < 1 or ncols < 1:
+        raise MatrixFileError(
+            f"bad dimensions {_clip(str(nrows))}x{_clip(str(ncols))}")
+    if p < 1:
+        raise MatrixFileError(f"bad block size {_clip(str(p))}")
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != nrows:
+        raise MatrixFileError(
+            f"data must be a list of {_clip(str(nrows))} rows")
+    if not all(isinstance(row, list) and len(row) == ncols for row in data):
+        raise MatrixFileError(f"expected {_clip(str(ncols))} entries per row")
+    try:
+        return Matrix(field, data), p
+    except ValueError as e:
+        raise MatrixFileError(str(e)) from None

@@ -6,11 +6,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockinv.field import binary_field, parse_field, prime_field
 from blockinv.matrix import Matrix
 from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints, dump,
                                  dump_json, dump_text, load)
+from oracles import load_json
 
 GF2 = prime_field(2)
 GF7 = prime_field(7)
@@ -246,3 +248,122 @@ def test_field_notation_in_file_is_parseable_standalone():
         m = Matrix(field, [[0]])
         line = dump_text(m, 1).splitlines()[1]
         assert parse_field(line) == field
+
+
+def assert_load_matches_oracle(text):
+    """`load` rejects `text` exactly when `oracles.load_json` does, with
+    the same message, and otherwise gives the same matrix and p. `load`
+    strips leading whitespace, so the oracle reads the text stripped.
+    Both reject every JSON syntax error and every -0 as invalid JSON, but
+    where a text holds both, each may report either first."""
+    try:
+        expected = load_json(text.lstrip())
+    except MatrixFileError as e:
+        with pytest.raises(MatrixFileError) as got:
+            load(text)
+        if "-0" in text and str(e).startswith("invalid JSON: "):
+            assert str(got.value).startswith("invalid JSON: ")
+        else:
+            assert str(got.value) == str(e)
+    else:
+        assert load(text) == expected
+
+
+JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=2)
+ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])
+BAD_CODES = [-1, 7, True, 1.5, "1", None, [0], {"a": 0}]
+
+
+@st.composite
+def json_documents(draw):
+    """JSON matrix files over GF(7), most of them sound: members in any
+    order, some repeated or unknown, JSON whitespace between any two
+    tokens, -0 for any 0, bad codes, rows that are not lists, wrong
+    header values, and data after the object."""
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [draw(st.lists(st.integers(0, 6), min_size=ncols,
+                          max_size=ncols)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i][j] = draw(st.sampled_from(BAD_CODES))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, nrows - 1))
+        rows[i] = draw(st.sampled_from([0, "row", None, [], [0] * (ncols + 1),
+                                        {"a": [0]}]))
+    header = st.sampled_from([0, 1, 2, -1, True, 2.0, "2", None])
+    members = [("format", "bim"), ("version", 1), ("field", "gf(7)"),
+               ("rows", nrows), ("cols", ncols), ("p", 1), ("data", rows)]
+    members += draw(st.lists(st.sampled_from([
+        ("format", "csv"), ("version", 2), ("field", "gf(2)"),
+        ("field", "gf(6)"), ("field", 7), ("rows", nrows), ("cols", ncols),
+        ("data", [[0] * ncols] * nrows), ("data", 0), ("note", "-0"),
+        ("note", [[1, 2]])]), max_size=2))
+    members += [(key, draw(header)) for key in draw(st.lists(
+        st.sampled_from(["version", "rows", "cols", "p"]), max_size=1))]
+    if draw(st.booleans()):
+        members.pop(draw(st.integers(0, len(members) - 1)))
+    members = draw(st.permutations(members))
+
+    def space():
+        return draw(JSON_SPACE)
+
+    def spell(value):
+        if isinstance(value, list):
+            return "[" + (",".join(space() + spell(v) + space()
+                                   for v in value) or space()) + "]"
+        if value == 0 and type(value) is int and draw(ONE_IN_EIGHT):
+            return "-0"
+        return json.dumps(value)
+
+    body = ",".join(f"{space()}{json.dumps(k)}{space()}:{space()}"
+                    f"{spell(v)}{space()}" for k, v in members)
+    tail = (draw(st.sampled_from(["x", "}", " {}", " 1"]))
+            if draw(ONE_IN_EIGHT) else space())
+    return f"{space()}{{{body or space()}}}{tail}"
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_documents())
+def test_json_reader_matches_whole_document_oracle(text):
+    assert_load_matches_oracle(text)
+
+
+SMALL = Matrix(GF7, [[1, 0], [6, 3]])
+WRITTEN = dump_json(SMALL, 1)
+REVERSED = ('{"data": [[1, 0], [6, 3]], "p": 1, "cols": 2, "rows": 2, '
+            '"field": "gf(7)", "version": 1, "format": "bim"}')
+
+
+@pytest.mark.parametrize("text", [
+    WRITTEN,
+    " {\n\t\"format\" :\r\"bim\" , \"version\":1,\"field\": \"gf(7)\","
+    "\n \"rows\": 2, \"cols\": 2, \"p\": 1,\"data\":[ [1,0 ] ,\n[6, 3]\t]\n}\n",
+    REVERSED,
+], ids=["written", "spaced", "reversed"])
+def test_every_truncation_matches_oracle(text):
+    assert load(text)[0] == SMALL
+    for end in range(1, len(text)):
+        if text[:end].strip():
+            assert_load_matches_oracle(text[:end])
+
+
+@pytest.mark.parametrize("text, message", [
+    # rows stored against an earlier field or cols are read again
+    (WRITTEN.replace("}", ', "field": "gf(3)"}'),
+     "code 6 out of range for gf(3)"),
+    (WRITTEN.replace("}", ', "cols": 1}'), "expected 1 entries per row"),
+    (WRITTEN.replace('"data"', '"data": [[0, 9]], "data"'), None),
+    (WRITTEN.replace("}", ', "data": [[1, 0], [6]]}'),
+     "expected 2 entries per row"),
+    (WRITTEN.replace('"field"', '"field": "gf(6)", "cols": 3, "field"')
+     .replace("}", ', "cols": 2}'), None),
+], ids=["field-after-data", "cols-after-data", "data-twice", "bad-data-last",
+        "bad-header-first"])
+def test_repeated_keys_last_one_wins(text, message):
+    assert_load_matches_oracle(text)
+    if message is None:
+        assert load(text)[0] == SMALL
+    else:
+        with pytest.raises(MatrixFileError) as got:
+            load(text)
+        assert str(got.value) == message
