@@ -12,14 +12,13 @@ stored row, whose type only the field picks: an `array` of `typecode`,
 the narrowest unsigned type that holds every code, 'B' for order <= 256
 and 'H' above. `row(codes)` validates a row of codes and returns it as a
 stored row, and `join(rows)` joins stored rows, or their bytes, into one.
-A FieldSpec carries its operations as plain function
-attributes: the scalar `add`, `neg`, `mul` and `inv`, and the row
-operations that all of the matrix algebra is written in. Rows are
-handled packed: `pack` turns a row of codes, a stored row above all,
-into the field's packed row, `store(row, n)` turns a packed row of n
-entries back into a stored row and `unpack(row, n)` into a list of
-codes, and `scale(row, a) = a*row` works on a packed row. Two operations
-take a whole list of packed rows at once, each one list comprehension:
+A FieldSpec carries its operations as plain function attributes: the
+scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
+the matrix algebra is written in. Rows are handled packed: `pack` turns
+a row of codes, a stored row above all, into the field's packed row,
+`store(row, n)` turns a packed row of n entries back into a stored row,
+and `scale(row, a) = a*row` works on a packed row. Two operations take
+a whole list of packed rows at once, each one list comprehension:
 `column(rows, j)` reads entry j of every row, and the one row update
 `sub_rows(rows, fs, other)` returns the list of `row - f*other` for
 each row and factor f, with a row whose factor is zero returned as it
@@ -37,23 +36,21 @@ kind per operation, and no caller sees a packed form:
                `store` translates the numeral's digits back to bytes.
     GF(p)      one int per row of 64-bit slots, slot j for column j;
                an update is row + (p - f)*other, reduced mod p only by
-               `column`, `scale`, `store` and `unpack` (delayed modular
-               reduction).
+               `column`, `scale` and `store` (delayed modular reduction).
     GF(2^k)    one int per row of w-bit slots, slot j for column j, for
                k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
                the smallest struct width that holds 2k-1 bits. An update
                XORs in the carry-less product f*other (in characteristic
                2, -f = f) and leaves each slot unreduced; `column`,
-               `scale`, `store` and `unpack` reduce it mod the modulus.
+               `scale` and `store` reduce it mod the modulus.
 
-Over GF(p) and GF(2^k), `pack` reads a stored row with one bytes copy
-(`int.from_bytes`), first widening each entry to its slot where the
-slot is wider than the entry: the row's bytes are laid into a zeroed
-buffer by strided slice assignment, one per byte of an entry. Over
-GF(2^k), `store` is the reverse: it reduces every slot at once, writes
-the row out as bytes and narrows each slot back to an entry by strided
-slices. A GF(p) slot is reduced mod p one at a time, so there `store`
-builds the stored row from the list `unpack` returns.
+Over GF(p) and GF(2^k), `pack` lays the bytes of a stored row into a
+zeroed buffer of slots by strided slice assignment, one per byte of an
+entry, and reads the buffer with one `int.from_bytes`. Over GF(2^k),
+`store` is the reverse: it reduces every slot at once, writes the row
+out as bytes and narrows each slot back to an entry by strided slices.
+A GF(p) slot is reduced mod p one at a time, so there `store` and
+`scale` read the slots with one `struct.unpack` and reduce each.
 
 A GF(2^k) update forms f*other in one of two ways, with the same result.
 With fewer than _TABLE_ROWS nonzero factors it XORs one shifted copy of
@@ -80,10 +77,11 @@ below 2^(2k-1) inside its own slot; XOR has no carry, so any number of
 updates keeps every slot below 2^(2k-1) <= 2^w. Reduction uses
 x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
 hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
-repeating it leaves the canonical code. `store`, and `scale` on a
-long row, do this for every slot at once with masks repeated in each
-slot; `column` reads one slot of each row and takes lo XOR hi*r through
-the log/exp tables in one step.
+repeating it leaves the canonical code. `store` does this for every slot
+at once with masks repeated in each slot, and so does `scale`, before
+and after it XORs in one shifted copy of the row per set bit of its
+scalar; `column` reads one slot of each row and takes lo XOR hi*r
+through the log/exp tables in one step.
 
 The default modulus for GF(2^k) is derived: it is the irreducible
 polynomial of degree k with the smallest coefficient mask, so that
@@ -137,8 +135,6 @@ BINARY = "binary"
 MAX_PRIME = 1 << 16
 #: A GF(p) packed row holds one entry per 64-bit slot.
 _SLOT_MASK = (1 << 64) - 1
-#: A GF(2^k) row of at most this many slots is scaled entry by entry.
-_SHORT_ROW = 8
 #: A GF(2^k) row update with at least this many nonzero factors builds
 #: product tables for its fixed operand first.
 _TABLE_ROWS = 16
@@ -235,18 +231,17 @@ class FieldSpec:
     Immutable after construction; all operations are pure functions of
     their arguments, so a FieldSpec may be shared freely across threads.
     `typecode` is the array typecode of the field's stored rows, which
-    `row(codes)` and `join(rows)` build. The attributes `add(a, b)`, `neg(a)`,
-    `mul(a, b)`, `inv(a)`, the packed-row conversions `pack(codes)`,
-    `store(row, n)` and `unpack(row, n)`, the row operation
-    `scale(row, a)`, the operations
-    on lists of rows `column(rows, j)` and `sub_rows(rows, fs, other)`,
-    and the lane update `lane_adder(gs)` are its arithmetic, bound once
-    by `_arithmetic`.
+    `row(codes)` and `join(rows)` build. The attributes `add(a, b)`,
+    `neg(a)`, `mul(a, b)`, `inv(a)`, the packed-row conversions
+    `pack(codes)` and `store(row, n)`, the row operation `scale(row, a)`,
+    the operations on lists of rows `column(rows, j)` and
+    `sub_rows(rows, fs, other)`, and the lane update `lane_adder(gs)` are
+    its arithmetic, bound once by `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
                  "typecode", "add", "neg", "mul", "inv", "pack", "store",
-                 "unpack", "column", "scale", "sub_rows", "lane_adder")
+                 "column", "scale", "sub_rows", "lane_adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -312,10 +307,6 @@ class FieldSpec:
         # which names it exactly, modulus included
         return parse_field, (str(self),)
 
-    def validate_codes(self, codes) -> None:
-        """Raise ValueError unless every code is a canonical element here."""
-        self.row(codes)
-
     def row(self, codes) -> array:
         """A sequence of codes as a stored row, an array of `typecode`;
         raises ValueError unless every code is a canonical element here.
@@ -347,10 +338,11 @@ class FieldSpec:
 def _slot_codec(typecode: str, width: int):
     """`pack`, and its reverse `narrow`, for rows of equal little-endian
     slots of `width` bytes, slot j for column j, and stored rows of
-    `typecode` ('B' or 'H'). `pack` reads a stored row with one bytes
-    copy, each entry widened to its slot by one strided slice assignment
-    per byte of the entry; `narrow` takes the bytes of a row of
-    canonical slots back to a stored row by strided slices the same way."""
+    `typecode` ('B' or 'H'). `pack` lays the bytes of a stored row into
+    the slots, one strided slice assignment per byte of an entry, and
+    reads them with one `int.from_bytes`; `narrow` takes the bytes of a
+    row of canonical slots back to a stored row by strided slices the
+    same way."""
     size = array(typecode).itemsize
 
     def pack(row):
@@ -358,8 +350,6 @@ def _slot_codec(typecode: str, width: int):
             row = array(typecode, row)
             if _BIG_ENDIAN:
                 row.byteswap()
-        if size == width:
-            return int.from_bytes(row, "little")
         wide = bytearray(width * len(row))
         if size == 1:
             wide[::width] = row
@@ -441,18 +431,18 @@ def _generator(k: int, m: int) -> int:
 def _arithmetic(field: FieldSpec) -> dict:
     """The operations of `field` by name, one arm per kind.
 
-    `pack(codes)` turns a row of codes into the arm's packed row,
+    `pack(codes)` turns a row of codes into the arm's packed row, and
     `store(row, n)` turns a packed row of n entries back into a stored
-    row of canonical codes and `unpack(row, n)` into a list of them; `column(rows, j)` returns entry j of each of a list
-    of packed rows as a list of canonical codes. scale(row, a) is a*row
-    with canonical entries. sub_rows(rows, fs, other) takes a list of
-    packed rows, a list of as many canonical codes and a canonical row
+    row of canonical codes; `column(rows, j)` returns entry j of each of
+    a list of packed rows as a list of canonical codes. scale(row, a) is
+    a*row with canonical entries. sub_rows(rows, fs, other) takes a list
+    of packed rows, a list of as many canonical codes and a canonical row
     `other` (scaled, or fresh from `pack`), and returns a new list of
     row - f*other for each row and its f; a row whose f is zero comes
     back as it is. None of them modifies its arguments. Over GF(p) and
     GF(2^k) the rows `sub_rows` returns may hold unreduced slots, which
-    only `column`, `scale`, `store` and `unpack` read (see the module
-    docstring for why no slot overflows). lane_adder(gs) takes a list of canonical
+    only `column`, `scale` and `store` read (see the module docstring
+    for why no slot overflows). lane_adder(gs) takes a list of canonical
     codes and returns add(xs, ys), a new list of canonical codes x + g*y
     for equal length lists xs and ys, lane by lane. inv(0) raises
     ZeroDivisionError.
@@ -477,9 +467,6 @@ def _arithmetic(field: FieldSpec) -> dict:
             return array(field.typecode,
                          f"{row:0{n}b}".encode()[::-1].translate(_FROM_DIGITS))
 
-        def unpack(row, n):
-            return store(row, n).tolist()
-
         def column(rows, j):
             return [row >> j & 1 for row in rows]
 
@@ -495,9 +482,8 @@ def _arithmetic(field: FieldSpec) -> dict:
             return add
 
         return dict(add=operator.xor, neg=operator.pos, mul=operator.and_,
-                    inv=inv, pack=pack, store=store, unpack=unpack,
-                    column=column, scale=scale, sub_rows=sub_rows,
-                    lane_adder=lane_adder)
+                    inv=inv, pack=pack, store=store, column=column,
+                    scale=scale, sub_rows=sub_rows, lane_adder=lane_adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
@@ -522,12 +508,12 @@ def _arithmetic(field: FieldSpec) -> dict:
 
         pack, _ = _slot_codec(field.typecode, 8)
 
-        def unpack(row, n):
+        def reduced(row, n):
             return [x % p for x in
                     struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))]
 
         def store(row, n):
-            return array(field.typecode, unpack(row, n))
+            return array(field.typecode, reduced(row, n))
 
         def column(rows, j):
             s = j << 6
@@ -535,7 +521,7 @@ def _arithmetic(field: FieldSpec) -> dict:
 
         def scale(row, a):
             return pack([x * a % p for x in
-                         unpack(row, (row.bit_length() + 63) >> 6)])
+                         reduced(row, (row.bit_length() + 63) >> 6)])
 
         def sub_rows(rows, fs, other):
             return [row + (p - f) * other if f else row
@@ -547,7 +533,7 @@ def _arithmetic(field: FieldSpec) -> dict:
             return add
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
-                    store=store, unpack=unpack, column=column, scale=scale,
+                    store=store, column=column, scale=scale,
                     sub_rows=sub_rows, lane_adder=lane_adder)
 
     # GF(2^k), k >= 2: scalar products go through discrete log/antilog
@@ -614,9 +600,6 @@ def _arithmetic(field: FieldSpec) -> dict:
     def store(row, n):
         return narrow(reduce(row).to_bytes(nbytes * n, "little"))
 
-    def unpack(row, n):
-        return store(row, n).tolist()
-
     def column(rows, j):
         s = j * w
         return [x if (x := row >> s & slot) < q
@@ -637,19 +620,7 @@ def _arithmetic(field: FieldSpec) -> dict:
                 ^ t3[f >> 12] if f else row for row, f in zip(rows, fs)]
 
     def scale(row, a):
-        # A long row is reduced, multiplied and reduced again across all
-        # slots at once; a short one costs less slot by slot, each reduced
-        # as in `column` and multiplied through the tables.
-        n = -(-row.bit_length() // w)
-        if n > _SHORT_ROW:
-            return reduce(_shift_xor(reduce(row), 0, a))
-        la, out = log[a], 0
-        for j in range(n - 1, -1, -1):
-            x = row >> (j * w) & slot
-            if x >= q:
-                x = x & low ^ exp[log[x >> k] + log_r]
-            out = out << w | exp[la + log[x]]
-        return out
+        return reduce(_shift_xor(reduce(row), 0, a))
 
     def lane_adder(gs):
         lgs = [log[g] for g in gs]
@@ -658,8 +629,8 @@ def _arithmetic(field: FieldSpec) -> dict:
             return [x ^ exp[lg + log[y]] for x, lg, y in zip(xs, lgs, ys)]
         return add
 
-    return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv, pack=pack,
-                store=store, unpack=unpack, column=column, scale=scale,
+    return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv,
+                pack=pack, store=store, column=column, scale=scale,
                 sub_rows=sub_rows, lane_adder=lane_adder)
 
 

@@ -481,6 +481,17 @@ def test_kron_golden_bytes(capsys, p, field, digest, trials):
     assert res.exhaustive and res.trials == trials
 
 
+def test_kron_random_search_golden_bytes(capsys):
+    # past the exhaustive search's reach, over 16-bit GF(2^8) slots
+    code, out, _ = run(capsys, "kron", "--p", "4", "--field", "gf(2^8)")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "53701ff3919cc64f57dab133966f51ea4d30b39d9509a5c509fdca4f47baf546")
+    res = kronecker_generate(4, parse_field("gf(2^8)"),
+                             SplitMix64(DEFAULT_SEED))
+    assert not res.exhaustive and res.trials == 1
+
+
 # ----------------------------------------------------------------------
 # top level
 # ----------------------------------------------------------------------

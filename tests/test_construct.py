@@ -451,6 +451,9 @@ GOLDEN = [
      "267f364572dc29d134dc943d099ff78c25858dac525c9592a5ee28ed0709c3a2"),
     (40, 5, prime_field(257), 9, StripChoice.RANDOM,
      "8f4fe6ae9638f5845ee780e0821860859ede04c9864090807556e0dda16747af"),
+    # GF(2^16) rows take 32-bit slots
+    (64, 8, binary_field(16), 0xB10CC0DE, StripChoice.FIRST,
+     "becd87729bd72071decc9eecb787faeae5fafcb9b244156e6f56dcdbf7187d4a"),
 ]
 
 

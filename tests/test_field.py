@@ -281,17 +281,17 @@ def test_gf256_distributes(a, b, c):
 
 
 def test_validate_codes():
-    GF5.validate_codes([4])
+    GF5.row([4])
     with pytest.raises(ValueError):
-        GF5.validate_codes([5])
+        GF5.row([5])
     with pytest.raises(ValueError):
-        GF5.validate_codes([-1])
+        GF5.row([-1])
     with pytest.raises(ValueError):
-        GF5.validate_codes([True])
+        GF5.row([True])
     # a whole row is checked, up to its last entry
-    GF5.validate_codes([0, 1, 2, 3, 4])
+    GF5.row([0, 1, 2, 3, 4])
     with pytest.raises(ValueError, match="code 5 out of range for gf"):
-        GF5.validate_codes([0, 1, 2, 3, 5])
+        GF5.row([0, 1, 2, 3, 5])
 
 
 # ----------------------------------------------------------------------

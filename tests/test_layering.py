@@ -12,6 +12,10 @@ Inside field.py the kind is read only where it names the field
 (identity and notation) and where `_arithmetic` picks the arm that binds
 a field's operations once, so no operation tests the kind per call.
 
+The field has no surface that only tests use: every operation that
+`_arithmetic` binds and every public FieldSpec method is read as an
+attribute by some other module of the package.
+
 The runtime is stdlib-only: no module of the package imports anything
 outside the standard library.
 
@@ -151,6 +155,51 @@ def test_kind_guard_allows_identity_and_arm_choice():
                       "        return self.kind == o.kind\n"
                       "def _arithmetic(field):\n"
                       "    return field.kind") == []
+
+
+#: FieldSpec attributes that describe the field rather than compute in it.
+FIELD_METADATA = {"kind", "characteristic", "degree", "modulus", "order",
+                  "typecode"}
+
+
+def unread_field_surface(field_source: str, sources: list[str]) -> list[str]:
+    """Operations bound by `_arithmetic` (the keywords of its `dict`
+    calls) and public FieldSpec methods that no source reads as an
+    attribute, metadata left out."""
+    surface = set()
+    for node in ast.walk(ast.parse(field_source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_arithmetic":
+            surface.update(kw.arg for call in ast.walk(node)
+                           if isinstance(call, ast.Call)
+                           and isinstance(call.func, ast.Name)
+                           and call.func.id == "dict"
+                           for kw in call.keywords)
+        elif isinstance(node, ast.ClassDef) and node.name == "FieldSpec":
+            surface.update(f.name for f in node.body
+                           if isinstance(f, ast.FunctionDef)
+                           and not f.name.startswith("_"))
+    read = {node.attr for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    return sorted(surface - FIELD_METADATA - read)
+
+
+def test_every_field_operation_has_a_caller_in_the_package():
+    others = [p.read_text(encoding="utf-8") for p in sorted(
+        PACKAGE.glob("*.py")) if p.name != "field.py"]
+    assert unread_field_surface(
+        (PACKAGE / "field.py").read_text(encoding="utf-8"), others) == []
+
+
+def test_surface_guard_flags_unread_operations_and_methods():
+    field_source = ("class FieldSpec:\n"
+                    "    def row(self, codes): pass\n"
+                    "    def check(self, codes): pass\n"
+                    "    def _private(self): pass\n"
+                    "def _arithmetic(field):\n"
+                    "    return dict(pack=1, unpack=2, order=3)\n")
+    assert unread_field_surface(field_source, ["f.row(x)", "f.pack(r)"]) == [
+        "check", "unpack"]
 
 
 def non_stdlib_imports(source: str, module: str) -> list[str]:
