@@ -8,10 +8,16 @@ Subcommands:
     kron       Kronecker-product construction, or proof it cannot work
 
 Exit codes: 0 success (including a conclusive negative kron result),
-1 I/O failure, 2 usage or validation error (argparse uses 2 as well),
-3 verification failure, 4 inconclusive kron search. Matrix data goes to
---out or stdout; summary lines and errors go to stderr, so stdout stays
-byte-reproducible for identical flags and seed.
+1 I/O failure (a file that cannot be read or written, or a stdout that
+cannot be written or flushed), 2 usage or validation error (argparse
+uses 2 as well), 3 verification failure, 4 inconclusive kron search.
+Matrix data goes to --out or stdout; summary lines and errors go to
+stderr, so stdout stays byte-reproducible for identical flags and seed.
+
+The console script (`entry`) runs `main`, flushes stdout and stderr and
+ends the process with `os._exit`, skipping interpreter teardown, which
+would only free what the process is about to give back; a caller that
+needs a normal exit calls `main`.
 
 The generators (`construct`, and `rng` for their seeded stream) are
 imported by the subcommands that run them, so `verify` loads only the
@@ -21,7 +27,9 @@ file, field, matrix and verifier modules.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import re
 import sys
 
@@ -35,11 +43,25 @@ def _err(msg: str) -> None:
     print(f"blockinv: {msg}", file=sys.stderr)
 
 
+def _write(text: str) -> int:
+    """Write text to stdout and flush it; returns an exit code. A stdout
+    that fails (a full device, a closed pipe, or file descriptor 1 closed
+    at start-up, when sys.stdout is None) gives one error line and 1."""
+    try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        _err(f"cannot write stdout: {e}")
+        return 1
+    return 0
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write matrix text to a file or stdout; returns an exit code."""
     if out is None:
-        sys.stdout.write(text)
-        return 0
+        return _write(text)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -112,12 +134,10 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         _err(str(e))
         return 2
-    if args.as_json:
-        print(render_report_json(rep))
-    else:
-        print(render_report(rep, grid=not args.quiet))
+    report = (render_report_json(rep) if args.as_json
+              else render_report(rep, grid=not args.quiet))
     ok = rep.is_block_invertible_square if m.is_square else rep.is_block_invertible
-    return 0 if ok else 3
+    return _write(report + "\n") or (0 if ok else 3)
 
 
 def cmd_count(args) -> int:
@@ -135,9 +155,8 @@ def cmd_count(args) -> int:
         _err(str(e))
         return 2
     total = q ** (p * p)
-    print(f"|GL({p}, {q})| = {count}")
-    print(f"acceptance probability: {count}/{total} = {count / total:.6g}")
-    return 0
+    return _write(f"|GL({p}, {q})| = {count}\nacceptance probability: "
+                  f"{count}/{total} = {count / total:.6g}\n")
 
 
 #: Largest `kron --p`: the product is p^2 x p^2, 1024 x 1024 at the bound.
@@ -174,9 +193,9 @@ def cmd_kron(args) -> int:
         return rc
     if res.proved_nonexistence:
         plural = "s" if res.trials != 1 else ""
-        print(f"no invertible all-nonzero {args.p}x{args.p} matrix exists "
-              f"over {fld} (exhaustive search, {res.trials} candidate{plural})")
-        return 0
+        return _write(f"no invertible all-nonzero {args.p}x{args.p} matrix "
+                      f"exists over {fld} (exhaustive search, {res.trials} "
+                      f"candidate{plural})\n")
     _err(f"search inconclusive after {res.trials} random trials")
     return 4
 
@@ -244,4 +263,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The console script: `main`, then `os._exit` with its exit code.
+
+    Each command writes stdout through `_write`, which flushes it, so
+    after a failed run nothing is left there that could still be
+    written. After a successful one, stdout is flushed here, which
+    delivers what argparse printed for --help; stderr is flushed last."""
+    try:
+        rc = main()
+    except SystemExit as e:  # argparse, after a usage error or --help
+        rc = e.code
+    rc = rc or _write("")
+    sys.stderr.flush()
+    os._exit(rc)

@@ -311,11 +311,15 @@ class FieldSpec:
         """A sequence of codes as a stored row, an array of `typecode`;
         raises ValueError unless every code is a canonical element here.
 
-        A row of plain ints below the order is packed by one
-        `struct.pack`, which also rejects a negative code, so a sound
-        row is never read code by code in Python; any other row is
-        checked code by code, which names its first bad code."""
-        if set(map(type, codes)) == {int} and max(codes) < self.order:
+        Over a field of order <= 256, a `bytes` row of codes below the
+        order is copied as it is. A row of plain ints below the order is
+        packed by one `struct.pack`, which also rejects a negative code,
+        so a sound row is never read code by code in Python; any other
+        row is checked code by code, which names its first bad code."""
+        if type(codes) is bytes and self.typecode == "B":
+            if max(codes) < self.order:
+                return array("B", codes)
+        elif set(map(type, codes)) == {int} and max(codes) < self.order:
             try:
                 return array(self.typecode, struct.pack(
                     f"{len(codes)}{self.typecode}", *codes))
@@ -575,17 +579,24 @@ def _arithmetic(field: FieldSpec) -> dict:
     # A row is one int of w-bit slots, slot j for column j, each holding
     # a polynomial of degree below 2k - 1 that is reduced mod m only when
     # read, by x^k = r (see the module docstring). `reduce` folds every
-    # slot at once: lo keeps bits 0..k-1 of each slot, top the rest.
+    # slot at once: lo keeps bits 0..k-1 of each slot, top the rest. The
+    # two masks are built once for the widest row reduced so far, as a
+    # mask wider than a row masks it the same; `masks` only ever holds a
+    # correct pair, so sharing the field across threads stays safe.
     w = 8 if k <= 4 else 16 if k <= 8 else 32
     nbytes, slot, low = w // 8, (1 << w) - 1, q - 1
     r = m ^ q
     r_bits = [i for i in range(k) if r >> i & 1]
     log_r = log[r]
+    masks = [(0, 0)]
 
     def reduce(row):
-        full = (1 << (w * -(-row.bit_length() // w))) - 1
-        lo = full // slot * low
-        top = full ^ lo
+        lo, top = masks[0]
+        if row.bit_length() > top.bit_length():
+            full = (1 << (w * -(-row.bit_length() // w))) - 1
+            lo = full // slot * low
+            top = full ^ lo
+            masks[0] = lo, top
         hi = row & top
         while hi:
             row &= lo

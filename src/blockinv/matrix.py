@@ -45,6 +45,11 @@ from __future__ import annotations
 
 from .field import FieldSpec, _clip
 
+#: The decimal spelling of each code below 256: `str` of a matrix over a
+#: field of order <= 256 spells its codes by indexing this table, and
+#: the text loader (matrixfile.py) reads them back through its inverse.
+_SPELLINGS = tuple(map(str, range(256)))
+
 
 class FieldMismatchError(ValueError):
     """Operands live in different fields."""
@@ -189,7 +194,10 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols} over {self.field}>"
 
     def __str__(self):
-        return "\n".join(" ".join(map(str, row)) for row in self._rows)
+        if self.field.order > len(_SPELLINGS):
+            return "\n".join(" ".join(map(str, row)) for row in self._rows)
+        return "\n".join([" ".join([_SPELLINGS[code] for code in row])
+                          for row in self._rows])
 
     # ------------------------------------------------------------------
     # arithmetic

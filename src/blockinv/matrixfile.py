@@ -30,6 +30,16 @@ decoding and reading every row first: a JSON syntax error anywhere,
 then the header checks, then a malformed text line before a row of the
 wrong length, and that before a code the field rejects, the first in
 row order.
+
+Over a field of order <= 256, text codes are spelled through one table
+of the 256 strings str(0)..str(255) (matrix.py): the writer indexes it
+with each code, and the text loader looks each token up in its inverse,
+cut to the field's codes, and hands the field each row as bytes. A
+token missing from that inverse (another spelling, or a code out of
+range) or a row of the wrong length sends the whole body back through
+the general reader, which checks each line's spelling against a regular
+expression and reads its ints; so both accept the same files, and every
+error comes from the general reader, in its order.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import json
 import re
 
 from .field import FieldError, FieldSpec, _clip, parse_field
-from .matrix import Matrix
+from .matrix import _SPELLINGS, Matrix
 
 MAGIC = "bim v1"
 
@@ -111,8 +121,30 @@ def _load_text(text: str) -> tuple[Matrix, int]:
     if len(body) != nrows:
         raise MatrixFileError(
             f"expected {_clip(str(nrows))} data rows, found {len(body)}")
+    if field.order <= len(_SPELLINGS):
+        m = _spelled_rows(field, ncols, body)
+        if m is not None:
+            return m, p
     return _build(field, ncols, body,
                   lambda line: _ints(line, "entry in row")), p
+
+
+def _spelled_rows(field: FieldSpec, ncols: int, body: list[str]):
+    """The matrix of `body` over a field of order <= 256, each token read
+    through the inverse of the spelling table cut to the field's codes;
+    None at the first token not in it or row not `ncols` long, so that
+    `_build` reads the whole body again and raises its error."""
+    code = dict(zip(_SPELLINGS, range(field.order))).__getitem__
+    rows = []
+    for line in body:
+        try:
+            row = bytes(map(code, line.split()))
+        except KeyError:
+            return None
+        if len(row) != ncols:
+            return None
+        rows.append(field.row(row))
+    return Matrix._new(field, tuple(rows))
 
 
 def _ints(line: str, what: str) -> list[int]:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -500,11 +504,80 @@ def test_no_command_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
-def test_entry_raises_system_exit(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["blockinv", "count", "--p", "1", "--q", "2"])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 0
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_process(*argv, unbuffered=False, **kwargs):
+    """Run `python -m blockinv ARGV...` in a process of its own, which
+    `entry` ends with os._exit; returns the completed process. Keyword
+    arguments go to subprocess.run; stdout and stderr are captured
+    unless they say otherwise."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "blockinv", *argv],
+                          env=env, timeout=60, **kwargs)
+
+
+def test_entry_process_exit_codes(tmp_path):
+    done = run_process("count", "--p", "1", "--q", "2")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, b"|GL(1, 2)| = 1\nacceptance probability: 1/2 = 0.5\n", b"")
+    bad_field = run_process("generate", "--n", "4", "--p", "2",
+                            "--field", "gf(4)")
+    assert bad_field.returncode == 2 and bad_field.stdout == b""
+    assert bad_field.stderr.startswith(b"blockinv: ")
+    usage = run_process("count", "--p", "1")
+    assert usage.returncode == 2 and b"--q" in usage.stderr
+    singular = tmp_path / "s.bim"
+    singular.write_text("bim v1\ngf(2)\n2 2 1\n1 0\n0 1\n")
+    failed = run_process("verify", str(singular), "--quiet")
+    assert failed.returncode == 3 and b"block invertible" in failed.stdout
+    # generate writes the same bytes to stdout as to --out, and its
+    # summary line to stderr either way
+    args = ("generate", "--n", "16", "--p", "4", "--field", "gf(2^8)",
+            "--seed", "5")
+    to_file = run_process(*args, "--out", str(tmp_path / "m.bim"))
+    to_stdout = run_process(*args)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == (tmp_path / "m.bim").read_bytes()
+    assert to_stdout.stderr == to_file.stderr
+    assert to_stdout.stderr.startswith(b"generated 16x16 over gf(2^8;0x11b)")
+
+
+NEEDS_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                reason="needs the /dev/full device")
+
+
+@pytest.mark.parametrize("sink", [
+    pytest.param("full", marks=NEEDS_FULL),
+    pytest.param("full-unbuffered", marks=NEEDS_FULL),
+    "closed",
+])
+@pytest.mark.parametrize("argv", [
+    ("verify", "M"),
+    ("verify", "M", "--json"),
+    ("count", "--p", "2", "--q", "2"),
+    ("generate", "--n", "8", "--p", "2", "--field", "gf(2)"),
+    ("kron", "--p", "2", "--field", "gf(2)"),
+], ids=["verify", "verify-json", "count", "generate", "kron-proof"])
+def test_unwritable_stdout_exits_1_with_one_line(tmp_path, argv, sink):
+    path = tmp_path / "m.bim"
+    path.write_text(dump_text(Matrix.identity(prime_field(2), 4), 2))
+    argv = [str(path) if a == "M" else a for a in argv]
+    if sink == "closed":  # started with file descriptor 1 closed
+        done = run_process(*argv, stdout=None,
+                           preexec_fn=lambda: os.close(1))
+    else:  # a full device: the write or its flush fails with ENOSPC
+        with open("/dev/full", "wb") as full:
+            done = run_process(*argv, stdout=full,
+                               unbuffered=sink == "full-unbuffered")
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"blockinv: cannot write stdout: ")
+    assert done.stderr.count(b"\n") == 1
 
 
 # every int or choice option of every subcommand, with the other

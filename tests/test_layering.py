@@ -247,9 +247,11 @@ GENERATORS = {"blockinv.construct", "blockinv.decompose", "blockinv.rng"}
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 #: Runs `python -m blockinv ARGS...`, then reports the exit code and the
-#: loaded modules.
+#: loaded modules. The CLI ends its process with os._exit, which is bound
+#: to sys.exit here so that the report can still be printed.
 RUN_CLI = """
-import json, runpy, sys
+import json, os, runpy, sys
+os._exit = sys.exit
 sys.argv = ["blockinv", *sys.argv[1:]]
 try:
     runpy.run_module("blockinv", run_name="__main__", alter_sys=True)

@@ -8,10 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockinv.field import binary_field, parse_field, prime_field
+from blockinv import matrixfile
+from blockinv.field import _clip, binary_field, parse_field, prime_field
 from blockinv.matrix import Matrix
-from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints, dump,
-                                 dump_json, dump_text, load)
+from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints,
+                                 _spelled_rows, dump, dump_json, dump_text,
+                                 load)
 from oracles import load_json
 
 GF2 = prime_field(2)
@@ -367,3 +369,100 @@ def test_repeated_keys_last_one_wins(text, message):
         with pytest.raises(MatrixFileError) as got:
             load(text)
         assert str(got.value) == message
+
+
+# ----------------------------------------------------------------------
+# text codes over fields of order <= 256, spelled through one table
+# ----------------------------------------------------------------------
+
+#: Fields whose text codes go through the spelling table, and GF(257),
+#: the first order whose codes do not.
+SPELLED_FIELDS = [GF2, prime_field(3), prime_field(251), binary_field(4),
+                  binary_field(8, 0x11B), binary_field(8, 0x11D),
+                  prime_field(257)]
+
+
+def load_general(text):
+    """`load` with the spelling table emptied, so that every text body is
+    read by the general reader (`_ints`), as before the table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixfile, "_SPELLINGS", ())
+        return load(text)
+
+
+#: Runs of str.isspace() characters that split no line.
+BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\n \t\n", "\r\r\n"])
+
+
+@st.composite
+def spaced_text_files(draw):
+    """A matrix and a text file of it whose codes are separated by mixed
+    blanks, with blanks before and after them and mixed line ends."""
+    field = draw(st.sampled_from(SPELLED_FIELDS))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = Matrix(field, [draw(st.lists(st.integers(0, field.order - 1),
+                                     min_size=ncols, max_size=ncols))
+                       for _ in range(nrows)])
+    lines = []
+    for row in m.to_lists():
+        spaced = [draw(st.sampled_from(["", " ", "\t"]))]
+        for code in row:
+            spaced += [str(code), draw(BLANKS)]
+        spaced[-1] = draw(st.sampled_from(["", " ", "\t ", "\xa0"]))
+        lines.append("".join(spaced) + draw(LINE_ENDS))
+    return m, f"bim v1\n{field}\n{nrows} {ncols} 2\n" + "".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(spaced_text_files())
+def test_spelled_codes_read_as_the_general_reader_does(case):
+    m, text = case
+    assert load(text) == load_general(text) == (m, 2)
+    if m.field.order <= 256:  # the table read every row
+        body = [ln for ln in text.splitlines()[3:] if ln.strip()]
+        assert _spelled_rows(m.field, m.ncols, body) == m
+    written = dump_text(m, 2)
+    assert written.splitlines()[3:] == [" ".join(map(str, row))
+                                        for row in m.to_lists()]
+    assert load(written) == (m, 2)
+
+
+#: Tokens that int() may take but that are not a code's one spelling, an
+#: over-long one, and ORDER, the field's order, one past its last code.
+BAD_TOKENS = ["+0", "1_0", "007", "-0", "\u0661", "9" * 5000, "ORDER"]
+LAYOUTS = {
+    "first-row": "{t} 0\n0 0\n",
+    "after-short-row": "0\n0 {t}\n",
+    "before-short-row": "0 {t}\n0\n",
+    "after-out-of-range": "0 ORDER\n{t} 0\n",
+}
+
+
+@pytest.mark.parametrize("field", [GF2, prime_field(11), GF256], ids=str)
+@pytest.mark.parametrize("token", BAD_TOKENS,
+                         ids=lambda t: repr(t[:6]))
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_bad_tokens_fail_as_in_the_general_reader(field, token, layout):
+    body = layout.replace("{t}", token).replace("ORDER", str(field.order))
+    text = f"bim v1\n{field}\n2 2 1\n{body}"
+    with pytest.raises(MatrixFileError) as general:
+        load_general(text)
+    with pytest.raises(MatrixFileError) as got:
+        load(text)
+    assert str(got.value) == str(general.value)
+    if layout == LAYOUTS["first-row"]:
+        kind = "over-long" if token[0] == "9" else "non-integer"
+        assert str(got.value) == (
+            f"code {field.order} out of range for {field}" if token == "ORDER"
+            else f"{kind} entry in row {_clip(repr(token + ' 0'))}")
+
+
+@pytest.mark.parametrize("field", SPELLED_FIELDS, ids=str)
+def test_boundary_codes(field):
+    last = field.order - 1
+    m, _ = load(f"bim v1\n{field}\n1 2 1\n{last} 0\n")
+    assert m == Matrix(field, [[last, 0]])
+    with pytest.raises(MatrixFileError) as got:
+        load(f"bim v1\n{field}\n1 2 1\n{field.order} 0\n")
+    assert str(got.value) == f"code {field.order} out of range for {field}"
