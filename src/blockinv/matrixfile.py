@@ -18,33 +18,27 @@ fields::
 Both writers are byte-deterministic, loaders leave the element codes to
 the field (`FieldSpec.row`), and load(save(m)) reproduces the matrix
 exactly, modulus included (binary field notation spells out the modulus).
-A loader converts each row to the field's stored row as soon as it has
-read it, so the ints of one row at a time are alive, not those of the
-whole matrix beside a copy. The text loader converts each line as it
-parses it. The JSON loader walks the top-level object itself, decoding
-each key and value with json's scanner, and decodes a "data" array one
-row at a time; once "field" and "cols" have been read, each row is
-converted before the next is decoded. Rows read before both are known
-are converted after the walk. Either way the errors are those of
-decoding and reading every row first: a JSON syntax error anywhere,
-then the header checks, then a malformed text line before a row of the
-wrong length, and that before a code the field rejects, the first in
-row order.
 
-Over a field of order <= 256, text codes are spelled through one table
-of the 256 strings str(0)..str(255) (matrix.py): the writer indexes it
-with each code, and the text loader looks each token up in its inverse,
-cut to the field's codes, and hands the field each row as bytes. A
-token missing from that inverse (another spelling, or a code out of
-range) or a row of the wrong length sends the whole body back through
-the general reader, which checks each line's spelling against a regular
-expression and reads its ints; so both accept the same files, and every
-error comes from the general reader, in its order.
+Both loaders hand each row to one sink, `_Rows`, which stores it as the
+field's row as soon as it is added, so the ints of one row at a time are
+alive, not those of the whole matrix beside a copy. A text line over a
+field of order <= 256 is read through the inverse of the table of the
+256 strings str(0)..str(255) that the writer spells codes with
+(matrix.py), cut to the field's codes; a line with a token not in it
+(another spelling, or a code out of range), and every line over a larger
+field, is read by `_ints`, which checks its spelling and reads its ints
+or raises. The JSON loader walks the top-level object itself, decoding
+each key and value with json's scanner, and a "data" array one row at a
+time, into the sink once "field" and "cols" have been read; rows read
+before both are known go into it after the walk. Either way the errors
+are those of reading every row first: a JSON syntax error anywhere, then
+the header checks, then a malformed text line before a row of the wrong
+length, and that before a code the field rejects, the first in row
+order.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
 from .field import FieldError, FieldSpec, _clip, parse_field
@@ -74,6 +68,7 @@ def dump_text(m: Matrix, p: int) -> str:
 
 
 def dump_json(m: Matrix, p: int) -> str:
+    import json
     return json.dumps({
         "format": "bim",
         "version": 1,
@@ -121,30 +116,19 @@ def _load_text(text: str) -> tuple[Matrix, int]:
     if len(body) != nrows:
         raise MatrixFileError(
             f"expected {_clip(str(nrows))} data rows, found {len(body)}")
-    if field.order <= len(_SPELLINGS):
-        m = _spelled_rows(field, ncols, body)
-        if m is not None:
-            return m, p
-    return _build(field, ncols, body,
-                  lambda line: _ints(line, "entry in row")), p
-
-
-def _spelled_rows(field: FieldSpec, ncols: int, body: list[str]):
-    """The matrix of `body` over a field of order <= 256, each token read
-    through the inverse of the spelling table cut to the field's codes;
-    None at the first token not in it or row not `ncols` long, so that
-    `_build` reads the whole body again and raises its error."""
-    code = dict(zip(_SPELLINGS, range(field.order))).__getitem__
-    rows = []
+    # the inverse of the spelling table, cut to the field's codes; a line
+    # it cannot read, and every line over a larger field, goes to _ints,
+    # which reads it or raises its error
+    code = (dict(zip(_SPELLINGS, range(field.order))).__getitem__
+            if field.order <= len(_SPELLINGS) else None)
+    rows = _Rows(field, ncols)
     for line in body:
         try:
-            row = bytes(map(code, line.split()))
-        except KeyError:
-            return None
-        if len(row) != ncols:
-            return None
-        rows.append(field.row(row))
-    return Matrix._new(field, tuple(rows))
+            row = code and bytes(map(code, line.split()))
+        except KeyError:  # another spelling, or a code out of range
+            row = None
+        rows.append(row or _ints(line, "entry in row"))
+    return rows.matrix(), p
 
 
 def _ints(line: str, what: str) -> list[int]:
@@ -175,14 +159,13 @@ def _json_int(token: str) -> int:
 
 
 def _load_json(text: str) -> tuple[Matrix, int]:
+    import json
     # a hook on every int would slow every load, so only a text that
     # may hold -0 is decoded with it
     decoder = json.JSONDecoder(parse_int=_json_int if "-0" in text else None)
     try:
-        if text.startswith("{"):
-            obj, stored = _read_object(text, decoder.raw_decode)
-        else:
-            obj, stored = decoder.decode(text), 0
+        obj = (_read_object(text, decoder.raw_decode) if text.startswith("{")
+               else decoder.decode(text))
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal over the int-conversion
         # limit, nesting deeper than the decoder's recursion limit, or -0
@@ -205,25 +188,31 @@ def _load_json(text: str) -> tuple[Matrix, int]:
         raise MatrixFileError("rows, cols and p must be integers")
     _check_shape(nrows, ncols, p)
     data = obj["data"]
-    if not isinstance(data, list) or len(data) != nrows:
+    if not isinstance(data, (list, _Rows)) or len(data) != nrows:
         raise MatrixFileError(
             f"data must be a list of {_clip(str(nrows))} rows")
-    return _build(field, ncols, data, stored=stored), p
+    if not (isinstance(data, _Rows)
+            and (data.field, data.ncols) == (field, ncols)):
+        rows = _Rows(field, ncols)
+        for row in data:
+            rows.append(row)
+        data = rows
+    return data.matrix(), p
 
 
-def _read_object(s: str, decode) -> tuple[dict, int]:
+def _read_object(s: str, decode) -> dict:
     """The members of the JSON object `s`, the last of a repeated key
-    winning as in json.loads, and how many leading rows of "data" are
-    stored rows. `decode` is a JSONDecoder's raw_decode; a syntax error
-    raises json's JSONDecodeError, with json's wording and position.
+    winning as in json.loads. `decode` is a JSONDecoder's raw_decode; a
+    syntax error raises json's JSONDecodeError, with json's wording and
+    position.
 
     "field" is parsed as soon as it is read, and kept as its FieldSpec or
-    the FieldError that parsing raised. A "data" array is read by
-    `_read_rows`, which stores rows while it knows the field and "cols".
-    Stored rows checked against a field or "cols" that a later member
-    replaced are turned back into lists, for `_build` to read again."""
+    the FieldError that parsing raised. A "data" array read after a
+    FieldSpec "field" and a positive int "cols" goes into a `_Rows` of
+    that field and width, which stores each row as it is decoded; any
+    other is kept as the list of its decoded elements."""
+    import json
     members = {}
-    stored, checked = 0, None
     i = _SPACE.match(s, 1).end()
     if s[i:i + 1] != "}":
         while True:
@@ -236,8 +225,10 @@ def _read_object(s: str, decode) -> tuple[dict, int]:
                 raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
             i = _SPACE.match(s, i + 1).end()
             if key == "data" and s[i:i + 1] == "[":
-                checked = members.get("field"), members.get("cols")
-                members[key], stored, i = _read_rows(s, i, decode, *checked)
+                field, ncols = members.get("field"), members.get("cols")
+                value = (_Rows(field, ncols) if isinstance(field, FieldSpec)
+                         and type(ncols) is int and ncols > 0 else [])
+                i = _read_rows(s, i, decode, value)
             else:
                 value, i = decode(s, i)
                 if key == "field":
@@ -245,9 +236,7 @@ def _read_object(s: str, decode) -> tuple[dict, int]:
                         value = parse_field(str(value))
                     except FieldError as e:
                         value = e
-                elif key == "data":
-                    stored = 0
-                members[key] = value
+            members[key] = value
             i = _SPACE.match(s, i).end()
             if s[i:i + 1] == "}":
                 break
@@ -257,46 +246,26 @@ def _read_object(s: str, decode) -> tuple[dict, int]:
     end = _SPACE.match(s, i + 1).end()
     if end != len(s):
         raise json.JSONDecodeError("Extra data", s, end)
-    if stored and checked != (members["field"], members["cols"]):
-        rows = members["data"]
-        rows[:stored] = map(list, rows[:stored])
-        stored = 0
-    return members, stored
+    return members
 
 
-def _read_rows(s: str, i: int, decode, field, ncols) -> tuple[list, int, int]:
-    """The elements of the JSON array at s[i], how many leading ones are
-    stored rows, and the index after the array.
-
-    Each element is decoded on its own. If `field` is a FieldSpec and
-    `ncols` a positive int, then while every element so far was a list
-    of `ncols` codes that the field accepts, each is replaced by its
-    stored row before the next is decoded; the first that is not stays
-    as decoded, as do all after it."""
-    rows, stored = [], 0
-    storing = isinstance(field, FieldSpec) and type(ncols) is int and ncols > 0
+def _read_rows(s: str, i: int, decode, rows) -> int:
+    """Append each element of the JSON array at s[i] to `rows`, decoded
+    on its own, before the next is decoded; return the index after the
+    array."""
+    import json
     i = _SPACE.match(s, i + 1).end()
     if s[i:i + 1] == "]":
-        return rows, 0, i + 1
+        return i + 1
     while True:
         row, i = decode(s, i)
-        if storing and type(row) is list and len(row) == ncols:
-            try:
-                row = field.row(row)
-            except ValueError:  # a code the field rejects
-                storing = False
-            else:
-                stored += 1
-        else:
-            storing = False
         rows.append(row)
         i = _SPACE.match(s, i).end()
         if s[i:i + 1] == "]":
-            break
+            return i + 1
         if s[i:i + 1] != ",":
             raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
         i = _SPACE.match(s, i + 1).end()
-    return rows, stored, i + 1
 
 
 def _check_shape(nrows: int, ncols: int, p: int):
@@ -307,28 +276,45 @@ def _check_shape(nrows: int, ncols: int, p: int):
         raise MatrixFileError(f"bad block size {_clip(str(p))}")
 
 
-def _build(field, ncols, rows: list, read=None, stored=0) -> Matrix:
-    """The matrix of `rows`, each replaced in place by its stored row.
+class _Rows:
+    """A matrix's rows, stored as they are added.
 
-    The first `stored` rows are stored rows already. Each other row is
-    read with `read` first, if given, and must be a list of `ncols`
-    codes. Once a row is wrong, later rows are only read and measured,
-    so that the error raised is the one the checks give in their order
-    (see the module docstring)."""
-    shaped, bad_code = True, None
-    for i in range(stored, len(rows)):
-        row = rows[i]
-        if read:
-            row = read(row)
-        if not isinstance(row, list) or len(row) != ncols:
-            shaped = False
-        elif shaped and bad_code is None:
+    While every row added so far is a list, or a `bytes` read through the
+    spelling table, of `ncols` codes that the field accepts, each is
+    stored as soon as it is added. From the first row that is not, the
+    rest are only measured, and kept as added, so that `matrix` raises
+    the error the checks give in their order (see the module docstring)
+    and the rows can still be added again to a sink of another field or
+    width."""
+
+    def __init__(self, field: FieldSpec, ncols: int):
+        self.field, self.ncols = field, ncols
+        self.stored, self.rest = [], []
+        self.shaped, self.bad_code = True, None
+
+    def append(self, row):
+        if not isinstance(row, (list, bytes)) or len(row) != self.ncols:
+            self.shaped = False
+        elif self.shaped and self.bad_code is None:
             try:
-                rows[i] = field.row(row)
+                self.stored.append(self.field.row(row))
+                return
             except ValueError as e:  # a code the field rejects
-                bad_code = e
-    if not shaped:
-        raise MatrixFileError(f"expected {_clip(str(ncols))} entries per row")
-    if bad_code is not None:
-        raise MatrixFileError(str(bad_code))
-    return Matrix._new(field, tuple(rows))
+                self.bad_code = e
+        self.rest.append(row)
+
+    def __len__(self):
+        return len(self.stored) + len(self.rest)
+
+    def __iter__(self):
+        """The rows as they were added, stored rows back as lists."""
+        yield from map(list, self.stored)
+        yield from self.rest
+
+    def matrix(self) -> Matrix:
+        if not self.shaped:
+            raise MatrixFileError(
+                f"expected {_clip(str(self.ncols))} entries per row")
+        if self.bad_code is not None:
+            raise MatrixFileError(str(self.bad_code))
+        return Matrix._new(self.field, tuple(self.stored))

@@ -34,7 +34,6 @@ columns yields a pivot, so the verdicts are exact.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 
 from .field import FieldSpec
@@ -185,4 +184,5 @@ def report_as_dict(rep: BlockReport) -> dict:
 
 
 def render_report_json(rep: BlockReport) -> str:
+    import json
     return json.dumps(report_as_dict(rep))

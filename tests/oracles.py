@@ -6,12 +6,14 @@ rows: entries are lists of codes and every operation is a scalar
 updates cannot hide in both sides. `decomposition_check` decides whether
 a rank decomposition is valid, using the library's own algebra.
 `SLOW_REDUCTION` is the field whose packed rows are slowest to read.
-`zeros` builds a zero matrix. `fixed_free_count` and `two_block_count`
-are exact counts that enumeration checks at small sizes and that stand
-in for it beyond them. `load_json` reads a JSON matrix file by decoding
-the whole document with `json.loads` before any check.
+`zeros` builds a zero matrix. `fixed_free_count`, `two_block_count`
+and `normalized_count` are exact counts that enumeration checks at
+small sizes and that stand in for it beyond them. `load_json` reads a
+JSON matrix file by decoding the whole document with `json.loads`
+before any check.
 """
 
+import itertools
 import json
 
 from blockinv.construct import gl_count
@@ -125,6 +127,67 @@ def two_block_count(p: int, q: int) -> int:
     so the count is |GL(p, q)|^3 N(p, q).
     """
     return gl_count(p, q) ** 3 * fixed_free_count(p, q)
+
+
+def normalized_count(k: int, p: int, q: int) -> int:
+    """The number of (kp, p) block invertible squares over GF(q), q prime.
+
+    Let G = GL(p, q) and S the set of kp x kp matrices M over GF(q) whose
+    k^2 blocks M_ij are all in G and which are invertible. Call N in S
+    normalized when N_1j = N_i1 = I for all i and j. The map
+    (D1, N, D2) -> D1 N D2, with D1 = diag(g_1 .. g_k) and
+    D2 = diag(h_1 .. h_k) block diagonal over G and N normalized, sends
+    each triple into S: block (i, j) is g_i N_ij h_j, in G, and a product
+    of invertible matrices is invertible. It is onto and exactly
+    |G|-to-one. Given M and any g_1 in G, the first block-row forces
+    h_j = g_1^-1 M_1j, the first block-column then forces
+    g_i = M_i1 h_1^-1 (which for i = 1 gives back g_1), and with D1 and
+    D2 fixed N = D1^-1 M D2^-1 is normalized and in S. So each of the
+    |G| choices of g_1 gives one triple, and distinct g_1 give distinct
+    triples. Hence |S| = |G|^(2k-1) times the number of normalized N:
+    those whose (k-1)^2 inner blocks are in G and which are invertible.
+
+    The normalized N are counted block-row by block-row, each choice of
+    the k-1 inner blocks of a block-row kept only while the rows so far
+    are independent, so a prefix of block-rows is reduced once for all
+    the block-rows that may follow it.
+    """
+    blocks = itertools.product(itertools.product(range(q), repeat=p),
+                               repeat=p)
+    gl = [b for b in blocks if _extend({}, b, q) is not None]
+    identity = tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
+    # the p rows of each block-row (I, B_2 .. B_k), as kp-tuples
+    block_rows = [[sum(row, ()) for row in zip(identity, *inner)]
+                  for inner in itertools.product(gl, repeat=k - 1)]
+
+    def completions(basis, left):
+        if not left:
+            return 1
+        return sum(completions(wider, left - 1) for rows in block_rows
+                   if (wider := _extend(basis, rows, q)) is not None)
+
+    first = [sum(row, ()) for row in zip(*[identity] * k)]
+    return gl_count(p, q) ** (2 * k - 1) * completions(
+        _extend({}, first, q), k - 1)
+
+
+def _extend(basis: dict, rows, q: int):
+    """`basis` (rows over GF(q) keyed by their leading column, where each
+    holds a 1) with `rows` added, or None if they are not independent of
+    it and of each other."""
+    basis = dict(basis)
+    for row in rows:
+        while any(row):
+            lead = next(c for c, x in enumerate(row) if x)
+            if lead not in basis:
+                inv = pow(row[lead], -1, q)
+                basis[lead] = [x * inv % q for x in row]
+                break
+            f = row[lead]
+            row = [(x - f * y) % q for x, y in zip(row, basis[lead])]
+        else:
+            return None
+    return basis
 
 
 def _no_minus_zero(token: str) -> int:

@@ -6,12 +6,16 @@ sizes, and with what exact probability.
 The seed block is drawn by rejection, which has no finite tree of
 answers; it is uniform over GL(p), so the census takes every seed block
 in turn, each with probability 1/|GL(p)|.
+
+`TOTALS` counts every (n, p) block invertible square at each census
+size, which is what the reached outputs are a share of. The small ones
+are recounted by `oracles.normalized_count`; the two that take it
+minutes are pinned.
 """
 
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
@@ -21,7 +25,7 @@ from blockinv.field import prime_field
 from blockinv.matrix import Matrix
 from blockinv.verify import verify_blocks
 
-from oracles import two_block_count
+from oracles import normalized_count, two_block_count
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -83,45 +87,24 @@ def border_census(n, p, field):
     return census, seeds
 
 
-@cache
-def gf2_block_invertible_count(k):
-    """The number of (2k, 2) block invertible squares over GF(2).
+#: Every (n, p) block invertible square over GF(q), keyed by (n, p, q):
+#: the totals of the README's census table.
+TOTALS = {(4, 2, 2): 432, (6, 2, 2): 2_488_320, (4, 2, 3): 2_985_984,
+          (8, 2, 2): 649_917_333_504, (6, 2, 3): 741_481_075_703_808}
 
-    Right-multiplying block-column j by g_j in GL(2) maps block-rows of
-    GL(2) blocks onto themselves and keeps the rank, so every first
-    block-row (A_1 .. A_k) admits as many completions as (I .. I) does:
-    the count is 6^k times the completions of (I .. I). A block is its
-    two rows as 2-bit masks, invertible when they are nonzero and
-    distinct; a block-row packs into two masks of 2k bits, and rows are
-    ranked by their leading bits.
-    """
-    gl = [(a, b) for a in range(1, 4) for b in range(1, 4) if a != b]
-
-    def pack(blocks):
-        return tuple(sum(blk[i] << 2 * j for j, blk in enumerate(blocks))
-                     for i in range(2))
-
-    block_rows = [pack(row) for row in itertools.product(gl, repeat=k)]
-    first = pack([(2, 1)] * k)  # (I .. I)
-
-    def full_rank(rows):
-        lead = {}
-        for r in rows:
-            while r and r.bit_length() in lead:
-                r ^= lead[r.bit_length()]
-            if not r:
-                return False
-            lead[r.bit_length()] = r
-        return True
-
-    completions = sum(full_rank(first + sum(rest, ()))
-                      for rest in itertools.product(block_rows, repeat=k - 1))
-    return len(gl) ** k * completions
+#: Totals too slow to count in the suite. Each was counted by
+#: `normalized_count(n // p, p, q)` run on its own, with Python 3.11 on
+#: one core of a 2-CPU x86-64 host: (8, 2, 2) from 2,321,664 normalized
+#: squares in 93 s, and (6, 2, 3) from 2,910,006 in 59 s.
+PINNED = {(8, 2, 2), (6, 2, 3)}
 
 
-def test_gf2_block_invertible_count():
-    assert gf2_block_invertible_count(2) == two_block_count(2, 2) == 432
-    assert gf2_block_invertible_count(3) == 2_488_320
+def test_normalized_count():
+    for (n, p, q), total in TOTALS.items():
+        if (n, p, q) not in PINNED:
+            assert normalized_count(n // p, p, q) == total
+        if n == 2 * p:
+            assert total == two_block_count(p, q)
 
 
 def test_walk_visits_every_answer_sequence_once():
@@ -136,23 +119,20 @@ def test_walk_visits_every_answer_sequence_once():
                         for tail in itertools.product(range(2), repeat=2)}}
 
 
-@pytest.mark.parametrize("n, p, field, reached, share", [
-    (4, 2, GF2, 6, Fraction(6, 432)),
-    (6, 2, GF2, 24, Fraction(24, 2_488_320)),
-    (4, 2, GF3, 48, Fraction(48, 2_985_984)),
-    (6, 2, GF3, 192, None),
-    (8, 2, GF2, 216, None),
+@pytest.mark.parametrize("n, p, field, reached", [
+    (4, 2, GF2, 6),
+    (6, 2, GF2, 24),
+    (4, 2, GF3, 48),
+    (6, 2, GF3, 192),
+    (8, 2, GF2, 216),
 ], ids=["4-2-gf2", "6-2-gf2", "4-2-gf3", "6-2-gf3", "8-2-gf2"])
-def test_border_reaches(n, p, field, reached, share):
+def test_border_reaches(n, p, field, reached):
     census, seeds = border_census(n, p, field)
     # each seed block and strip sequence gives its own output, so every
-    # reached output is equally likely
-    assert len(census) == reached
+    # reached output is equally likely, with probability 1/reached, and
+    # reached of the TOTALS[n, p, q] block invertible squares
+    assert len(census) == reached < TOTALS[n, p, field.order]
     assert set(census.values()) == {Fraction(1, reached)}
-    if share is not None:  # of all (n, p) block invertible squares
-        total = (two_block_count(p, field.order) if n == 2 * p
-                 else gf2_block_invertible_count(n // p))
-        assert Fraction(reached, total) == share
     for m in census:
         report = verify_blocks(m, p)
         assert report.whole_invertible and not report.failing_blocks

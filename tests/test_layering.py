@@ -23,11 +23,11 @@ A `verify` run loads only the modules it runs: the generators, and
 `dataclasses` with the `inspect` machinery it pulls in, stay unimported,
 while the package still resolves every public name on first use. A
 `generate` run loads the generators but neither `dataclasses` nor
-`inspect`: every record type is a namedtuple.
+`inspect`: every record type is a namedtuple. A run that reads and
+writes only text never loads `json`.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -247,16 +247,17 @@ GENERATORS = {"blockinv.construct", "blockinv.decompose", "blockinv.rng"}
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 #: Runs `python -m blockinv ARGS...`, then reports the exit code and the
-#: loaded modules. The CLI ends its process with os._exit, which is bound
-#: to sys.exit here so that the report can still be printed.
+#: loaded modules as a Python literal, so that the report itself loads no
+#: module. The CLI ends its process with os._exit, which is bound to
+#: sys.exit here so that the report can still be printed.
 RUN_CLI = """
-import json, os, runpy, sys
+import os, runpy, sys
 os._exit = sys.exit
 sys.argv = ["blockinv", *sys.argv[1:]]
 try:
     runpy.run_module("blockinv", run_name="__main__", alter_sys=True)
 except SystemExit as e:
-    print(json.dumps([e.code, sorted(sys.modules)]))
+    print(repr([e.code, sorted(sys.modules)]))
 """
 
 
@@ -266,7 +267,7 @@ def cli_modules(*args: str) -> tuple[int, set[str]]:
     done = subprocess.run([sys.executable, "-c", RUN_CLI, *args],
                           capture_output=True, text=True, env=env,
                           timeout=60, check=True)
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    code, modules = ast.literal_eval(done.stdout.splitlines()[-1])
     return code, set(modules)
 
 
@@ -289,6 +290,18 @@ def test_generate_process_imports_no_record_machinery(tmp_path):
     assert code == 0
     assert VERIFY_MODULES | GENERATORS <= modules
     assert RECORD_MACHINERY.isdisjoint(modules)
+
+
+def test_text_processes_never_load_json(tmp_path):
+    path = str(tmp_path / "m.bim")
+    for args in (("generate", "--n", "8", "--p", "2", "--field", "gf(2^8)",
+                  "--out", path),
+                 ("verify", path), ("verify", path, "--quiet")):
+        code, modules = cli_modules(*args)
+        assert code == 0 and "json" not in modules, args
+    # the same file verified with a JSON report does load it
+    code, modules = cli_modules("verify", path, "--json")
+    assert code == 0 and "json" in modules
 
 
 def test_every_public_name_resolves():

@@ -4,6 +4,8 @@ import enum
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 from blockinv import matrixfile
 from blockinv.field import _clip, binary_field, parse_field, prime_field
 from blockinv.matrix import Matrix
-from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints,
-                                 _spelled_rows, dump, dump_json, dump_text,
-                                 load)
+from blockinv.matrixfile import (JSON, TEXT, MatrixFileError, _ints, dump,
+                                 dump_json, dump_text, load)
 from oracles import load_json
 
 GF2 = prime_field(2)
@@ -371,6 +372,29 @@ def test_repeated_keys_last_one_wins(text, message):
         assert str(got.value) == message
 
 
+@pytest.mark.parametrize("field, dump", [(binary_field(16), dump_json),
+                                         (prime_field(65521), dump_text)],
+                         ids=["gf(2^16)-json", "gf(65521)-text"])
+def test_load_peak_is_well_below_one_boxed_int_per_code(field, dump):
+    """Each row is stored as soon as it is read, so a 256x256 load never
+    holds the matrix as ints. Holding it so takes an int object and a
+    list slot per code; the traced peak of the load, field tables and
+    the loaded matrix included, must stay under half of that."""
+    rnd = random.Random(5)
+    m = random_matrix(field, 256, 256, rnd)
+    text = dump(m, 8)
+    boxed = 256 * 256 * (sys.getsizeof(field.order - 1) + 8)
+    load(text)  # so that imports and caches are not traced
+    tracemalloc.start()
+    try:
+        got = load(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (m, 8)
+    assert peak < boxed / 2, (peak, boxed)
+
+
 # ----------------------------------------------------------------------
 # text codes over fields of order <= 256, spelled through one table
 # ----------------------------------------------------------------------
@@ -387,6 +411,19 @@ def load_general(text):
     read by the general reader (`_ints`), as before the table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixfile, "_SPELLINGS", ())
+        return load(text)
+
+
+def load_by_table(text):
+    """`load` with `_ints` refusing every body line, so that it succeeds
+    only if the spelling table read every row; `_ints` still reads the
+    header line."""
+    def header_only(line, what):
+        assert what != "entry in row", f"_ints read the row {line!r}"
+        return _ints(line, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixfile, "_ints", header_only)
         return load(text)
 
 
@@ -419,9 +456,8 @@ def spaced_text_files(draw):
 def test_spelled_codes_read_as_the_general_reader_does(case):
     m, text = case
     assert load(text) == load_general(text) == (m, 2)
-    if m.field.order <= 256:  # the table read every row
-        body = [ln for ln in text.splitlines()[3:] if ln.strip()]
-        assert _spelled_rows(m.field, m.ncols, body) == m
+    if m.field.order <= 256:
+        assert load_by_table(text) == (m, 2)
     written = dump_text(m, 2)
     assert written.splitlines()[3:] == [" ".join(map(str, row))
                                         for row in m.to_lists()]
