@@ -17,18 +17,23 @@ scalar `add`, `neg`, `mul` and `inv`, and the row operations that all of
 the matrix algebra is written in. Rows are handled packed: `pack` turns
 a row of codes, a stored row above all, into the field's packed row,
 `store(row, n)` turns a packed row of n entries back into a stored row,
-and `scale(row, a) = a*row` works on a packed row. Two operations take
-a whole list of packed rows at once, each one list comprehension:
-`column(rows, j)` reads entry j of every row, and the one row update
+and `scale(row, a) = a*row` works on a packed row. Three operations
+take a whole list of packed rows at once, each one list comprehension:
+`column(rows, j)` reads entry j of every row, the row update
 `sub_rows(rows, fs, other)` returns the list of `row - f*other` for
 each row and factor f, with a row whose factor is zero returned as it
-is. One more operation works on lanes, plain lists of codes with one
+is, and `drop_rows(rows, fs, other)` returns the same rows with entry 0,
+which that update clears, shifted out of each. `shift(row, j)` undoes j
+such drops: it moves a packed row up by j entries, with zeros in front.
+One more operation works on lanes, plain lists of codes with one
 entry per independent problem (verify.py decides many blocks at once
-this way): `add = lane_adder(gs)` returns
-`add(xs, ys) = [x + g*y for each lane]`, one list comprehension with no
-call per entry. All of them are chosen together at construction by one
-arm per field kind, so neither the field nor any caller branches on the
-kind per operation, and no caller sees a packed form:
+this way): `add = lane_adder(top)` reads the lanes of a pivot row once,
+and `add(row, gs)` returns the lanes x + g*y of another row, lane by
+lane, one list comprehension with no call per entry; over GF(p) it
+leaves each sum unreduced, adding less than p^2 per update. All of them
+are chosen together at construction by one arm per field kind, so
+neither the field nor any caller branches on the kind per operation,
+and no caller sees a packed form:
 
     GF(2)      one int per row, bit j for column j; an update is an XOR.
                `pack` maps the row's bytes to the digits of a binary
@@ -37,31 +42,34 @@ kind per operation, and no caller sees a packed form:
     GF(p)      one int per row of 64-bit slots, slot j for column j;
                an update is row + (p - f)*other, reduced mod p only by
                `column`, `scale` and `store` (delayed modular reduction).
-    GF(2^k)    one int per row of w-bit slots, slot j for column j, for
-               k >= 2; w = 8 for k <= 4, 16 for k <= 8, 32 for k <= 16,
-               the smallest struct width that holds 2k-1 bits. An update
-               XORs in the carry-less product f*other (in characteristic
-               2, -f = f) and leaves each slot unreduced; `column`,
-               `scale` and `store` reduce it mod the modulus.
+    GF(2^k)    one int per row of w-bit slots, slot j holding the code
+               of column j, for k >= 2; w = 8 for k <= 8 and 16 above,
+               the width of a stored entry, so `pack` is one
+               `int.from_bytes` of the stored row and `store` one
+               `to_bytes`. An update XORs in the product f*other (in
+               characteristic 2, -f = f), formed already reduced, so
+               every slot always holds a canonical code.
 
-Over GF(p) and GF(2^k), `pack` lays the bytes of a stored row into a
-zeroed buffer of slots by strided slice assignment, one per byte of an
-entry, and reads the buffer with one `int.from_bytes`. Over GF(2^k),
-`store` is the reverse: it reduces every slot at once, writes the row
-out as bytes and narrows each slot back to an entry by strided slices.
-A GF(p) slot is reduced mod p one at a time, so there `store` and
-`scale` read the slots with one `struct.unpack` and reduce each.
+Over GF(p), `pack` lays the bytes of a stored row into a zeroed buffer
+of 64-bit slots by strided slice assignment, one per byte of an entry,
+and reads the buffer with one `int.from_bytes`; `store` and `scale` read
+the slots with one `struct.unpack` and reduce each mod p.
 
-A GF(2^k) update forms f*other in one of two ways, with the same result.
-With fewer than _TABLE_ROWS nonzero factors it XORs one shifted copy of
-`other` per set bit of f (`_shift_xor`). With more, `sub_rows` first
-builds product tables (the Newton-John tables of M4RIE: Albrecht, ISSAC
-2012): for each 4-bit window of a scalar, the 16 carry-less multiples
-d*other shifted into that window, so an update is one lookup and XOR per
-window, ceil(k/4) in all, whatever the bits of f. Both ways cost time in
-proportion to the row's length, so only the number of rows that share
-the tables decides whether they pay off, and `sub_rows` counts them
-from the factors it is given.
+A GF(2^k) product starts from the rows x^i*other, i < k, each one step
+from the one before, which multiplies every slot by x at once:
+((v & low) << 1) XOR ((v >> (k-1)) & ones)*r, where `low` keeps bits
+0..k-2 of each slot, `ones` holds 1 in each slot, and r = m XOR 2^k is
+x^k mod m, of degree below k; a slot whose top bit shifts out takes r
+in its place, so it stays canonical and never reaches the next slot. By
+linearity f*other is the XOR of the rows x^i*other over the set bits i
+of f (`_combine`), which `scale` and a `sub_rows` with fewer than
+_TABLE_ROWS nonzero factors form. `drop_rows`, and `sub_rows` with
+more, first build product tables from those rows (the windows of M4RIE:
+Albrecht, ISSAC 2012): for each 4-bit window of a scalar, the 16 sums of
+the four rows its bits select, by XOR doubling, so a row costs one
+lookup and XOR per window, ceil(k/4) in all, whatever the bits of f.
+Both ways cost time in proportion to the row's length, so only the
+number of rows that share the tables decides whether they pay off.
 
 A GF(p) slot never borrows, because `sub_rows` subtracts f*other by
 adding (p - f)*other, whose factor lies in 1..p-1 for a nonzero
@@ -69,19 +77,8 @@ canonical f, and never carries into the next slot: if every row added is
 canonical (scaled, or fresh from `pack`), each update adds less than
 p^2 <= 2^32 to a slot, so a slot that starts canonical stays below 2^64
 for fewer than 2^32 additions. The elimination kernel adds to a row at
-most once per pivot, and a product once per inner index.
-
-A GF(2^k) slot cannot overflow at all. With `other` canonical, its
-slots are below 2^k and are shifted by at most k-1, so each copy stays
-below 2^(2k-1) inside its own slot; XOR has no carry, so any number of
-updates keeps every slot below 2^(2k-1) <= 2^w. Reduction uses
-x^k = r mod m, where r = m XOR 2^k has degree below k: a slot
-hi*x^k + lo becomes lo XOR hi*r, which lowers the degree of hi, so
-repeating it leaves the canonical code. `store` does this for every slot
-at once with masks repeated in each slot, and so does `scale`, before
-and after it XORs in one shifted copy of the row per set bit of its
-scalar; `column` reads one slot of each row and takes lo XOR hi*r
-through the log/exp tables in one step.
+most once per pivot, and a product once per inner index. The slot that
+`drop_rows` shifts out holds a multiple of p, an entry of 0.
 
 The default modulus for GF(2^k) is derived: it is the irreducible
 polynomial of degree k with the smallest coefficient mask, so that
@@ -108,8 +105,8 @@ boxed ints would take six times that: exp holds 16-bit codes, the powers
 g^0 .. g^(q-2) twice so that exp[log[a] + log[b]] needs no reduction,
 then zeros up to index 4(q-1); log holds 32-bit logs, with the sentinel
 log[0] = 2(q-1), which sends every sum with a zero factor into those
-zeros. So `mul`, `scale` and `lane_adder` read a product with no test
-for zero; `inv` still tests for it, and raises.
+zeros. So `mul` and `lane_adder` read a product with no test for
+zero; `inv` still tests for it, and raises.
 
 Field notation used by files and the CLI: ``gf(p)`` for prime fields and
 ``gf(2^k;0xMASK)`` for binary fields (``gf(2^k)`` selects the default
@@ -234,14 +231,16 @@ class FieldSpec:
     `row(codes)` and `join(rows)` build. The attributes `add(a, b)`,
     `neg(a)`, `mul(a, b)`, `inv(a)`, the packed-row conversions
     `pack(codes)` and `store(row, n)`, the row operation `scale(row, a)`,
-    the operations on lists of rows `column(rows, j)` and
-    `sub_rows(rows, fs, other)`, and the lane update `lane_adder(gs)` are
-    its arithmetic, bound once by `_arithmetic`.
+    the operations on lists of rows `column(rows, j)`,
+    `sub_rows(rows, fs, other)` and `drop_rows(rows, fs, other)`,
+    `shift(row, j)` and the lane update `lane_adder(top)` are its
+    arithmetic, bound once by `_arithmetic`.
     """
 
     __slots__ = ("kind", "characteristic", "degree", "modulus", "order",
                  "typecode", "add", "neg", "mul", "inv", "pack", "store",
-                 "column", "scale", "sub_rows", "lane_adder")
+                 "column", "scale", "sub_rows", "drop_rows", "shift",
+                 "lane_adder")
 
     def __init__(self, kind: str, size: int, modulus: int | None = None):
         """Build GF(size) for kind PRIME, or GF(2^size) for kind BINARY."""
@@ -339,80 +338,54 @@ class FieldSpec:
         return array(self.typecode, b"".join(rows))
 
 
-def _slot_codec(typecode: str, width: int):
-    """`pack`, and its reverse `narrow`, for rows of equal little-endian
-    slots of `width` bytes, slot j for column j, and stored rows of
-    `typecode` ('B' or 'H'). `pack` lays the bytes of a stored row into
-    the slots, one strided slice assignment per byte of an entry, and
-    reads them with one `int.from_bytes`; `narrow` takes the bytes of a
-    row of canonical slots back to a stored row by strided slices the
-    same way."""
-    size = array(typecode).itemsize
-
-    def pack(row):
-        if type(row) is not array or _BIG_ENDIAN:
-            row = array(typecode, row)
-            if _BIG_ENDIAN:
-                row.byteswap()
-        wide = bytearray(width * len(row))
-        if size == 1:
-            wide[::width] = row
-        else:
-            data = row.tobytes()
-            wide[::width], wide[1::width] = data[::2], data[1::2]
-        return int.from_bytes(wide, "little")
-
-    def narrow(data):
-        if size == 1:
-            row = array(typecode, data[::width])
-        else:
-            entries = bytearray(len(data) // width * size)
-            entries[::2], entries[1::2] = data[::width], data[1::width]
-            row = array(typecode, entries)
-            if _BIG_ENDIAN:
-                row.byteswap()
-        return row
-
-    return pack, narrow
+def _little_endian(row, typecode: str) -> array:
+    """A row of codes as an array of `typecode` in little-endian byte
+    order, or an array of little-endian codes back in the host's order
+    (a byte swap is its own inverse); on a little-endian host an array
+    is returned as it is."""
+    if type(row) is not array or _BIG_ENDIAN:
+        row = array(typecode, row)
+        if _BIG_ENDIAN:
+            row.byteswap()
+    return row
 
 
-def _shift_xor(other: int, row: int, a: int) -> int:
-    """row XOR the carry-less product a*other: one copy of `other`
-    shifted by i for each set bit i of a, whatever its slot layout."""
+def _combine(basis: list[int], row: int, a: int) -> int:
+    """row XOR basis[i] for each set bit i of a."""
     while a:
         bit = a & -a
-        row ^= other << (bit.bit_length() - 1)
+        row ^= basis[bit.bit_length() - 1]
         a ^= bit
     return row
 
 
-def _product_tables(other: int, k: int) -> list[list[int]]:
-    """The Newton-John tables of `other` for the four 4-bit windows of
-    a GF(2^k) scalar: table i holds, for each value d of window i, the
-    carry-less product d*other shifted into that window. Tables are
-    built by doubling, one shifted copy per bit of d. A window holds only
-    the bits a scalar reaches, so one above bit k - 1 is [0]."""
-    low4 = [0]
-    for b in range(min(k, 4)):
-        copy = other << b
-        low4 += [x ^ copy for x in low4]
-    return [low4] + [[x << s for x in low4[:1 << k - s]] if s < k else [0]
-                     for s in (4, 8, 12)]
+def _product_tables(basis: list[int], bits: int = 4) -> list[list[int]]:
+    """For each `bits`-bit window of a 16-bit scalar, the sums of the
+    basis rows that the values of the window select, built by doubling;
+    a window past the basis is [0]."""
+    tables = []
+    for s in range(0, 16, bits):
+        table = [0]
+        for b in basis[s:s + bits]:
+            table += [x ^ b for x in table]
+        tables.append(table)
+    return tables
 
 
-def _poly_pow(a: int, e: int, m: int) -> int:
-    """a^e modulo the GF(2) polynomial m, by square-and-multiply."""
+def _power(a: int, e: int, mul) -> int:
+    """a^e under the product `mul`, by square-and-multiply."""
     r = 1
     while e:
         if e & 1:
-            r = _poly_mod(_shift_xor(a, 0, r), m)
-        a = _poly_mod(_shift_xor(a, 0, a), m)
+            r = mul(r, a)
+        a = mul(a, a)
         e >>= 1
     return r
 
 
-def _generator(k: int, m: int) -> int:
-    """The smallest generator of GF(2^k)* under the modulus m, k >= 2.
+def _generator(k: int, mul) -> int:
+    """The smallest generator of GF(2^k)*, k >= 2, under the product
+    `mul`.
 
     g generates the group of order n = 2^k - 1 exactly when
     g^(n/r) != 1 for every prime r dividing n, so no candidate's powers
@@ -429,7 +402,7 @@ def _generator(k: int, m: int) -> int:
     if rest > 1:
         primes.append(rest)
     return next(g for g in range(2, n + 1)
-                if all(_poly_pow(g, n // r, m) != 1 for r in primes))
+                if all(_power(g, n // r, mul) != 1 for r in primes))
 
 
 def _arithmetic(field: FieldSpec) -> dict:
@@ -443,13 +416,18 @@ def _arithmetic(field: FieldSpec) -> dict:
     of packed rows, a list of as many canonical codes and a canonical row
     `other` (scaled, or fresh from `pack`), and returns a new list of
     row - f*other for each row and its f; a row whose f is zero comes
-    back as it is. None of them modifies its arguments. Over GF(p) and
-    GF(2^k) the rows `sub_rows` returns may hold unreduced slots, which
-    only `column`, `scale` and `store` read (see the module docstring
-    for why no slot overflows). lane_adder(gs) takes a list of canonical
-    codes and returns add(xs, ys), a new list of canonical codes x + g*y
-    for equal length lists xs and ys, lane by lane. inv(0) raises
-    ZeroDivisionError.
+    back as it is. drop_rows(rows, fs, other) returns the same new rows
+    with entry 0 shifted out of each, so with each f entry 0 of its row
+    and entry 0 of `other` 1 it clears and drops column 0. shift(row, j)
+    returns `row` with j zero entries in front. None of them modifies
+    its arguments. Over GF(p) the rows `sub_rows` and `drop_rows` return
+    may hold unreduced slots, which only `column`, `scale` and `store`
+    read (see the module docstring for why no slot overflows).
+    lane_adder(top) takes the lanes of a pivot row, equal length lists
+    of codes, and returns add(row, gs), which takes as many lanes of the
+    same length and a list of canonical factors, and returns the new
+    lanes x + g*y lane by lane, reduced except over GF(p); top may hold
+    unreduced GF(p) codes. inv(0) raises ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
     # In characteristic 2, -a = a, so `neg` is operator.pos, which hands
@@ -480,21 +458,30 @@ def _arithmetic(field: FieldSpec) -> dict:
         def sub_rows(rows, fs, other):
             return [row ^ other if f else row for row, f in zip(rows, fs)]
 
-        def lane_adder(gs):
-            def add(xs, ys):
-                return [x ^ (g & y) for x, g, y in zip(xs, gs, ys)]
+        def drop_rows(rows, fs, other):
+            return [(row ^ other if f else row) >> 1
+                    for row, f in zip(rows, fs)]
+
+        def shift(row, j):
+            return row << j
+
+        def lane_adder(top):
+            def add(row, gs):
+                return [[x ^ (g & y) for x, g, y in zip(xs, gs, ys)]
+                        for xs, ys in zip(row, top)]
             return add
 
         return dict(add=operator.xor, neg=operator.pos, mul=operator.and_,
                     inv=inv, pack=pack, store=store, column=column,
-                    scale=scale, sub_rows=sub_rows, lane_adder=lane_adder)
+                    scale=scale, sub_rows=sub_rows, drop_rows=drop_rows,
+                    shift=shift, lane_adder=lane_adder)
 
     if field.kind == PRIME:
         # GF(p): a row is one int of 64-bit slots, slot j for column j,
         # reduced mod p only when read. An update adds (p - f)*other slot
         # by slot with no carry between slots, as long as every slot stays
         # below 2^64 (see the module docstring).
-        p = field.characteristic
+        p, size = field.characteristic, array(field.typecode).itemsize
 
         def add(a, b):
             return (a + b) % p
@@ -510,7 +497,12 @@ def _arithmetic(field: FieldSpec) -> dict:
                 raise ZeroDivisionError(no_inverse)
             return pow(a, -1, p)
 
-        pack, _ = _slot_codec(field.typecode, 8)
+        def pack(row):
+            data = _little_endian(row, field.typecode).tobytes()
+            wide = bytearray(8 * len(data) // size)
+            for b in range(size):
+                wide[b::8] = data[b::size]
+            return int.from_bytes(wide, "little")
 
         def reduced(row, n):
             return [x % p for x in
@@ -521,7 +513,8 @@ def _arithmetic(field: FieldSpec) -> dict:
 
         def column(rows, j):
             s = j << 6
-            return [(row >> s & _SLOT_MASK) % p for row in rows]
+            mask = _SLOT_MASK << s
+            return [((row & mask) >> s) % p for row in rows]
 
         def scale(row, a):
             return pack([x * a % p for x in
@@ -531,31 +524,91 @@ def _arithmetic(field: FieldSpec) -> dict:
             return [row + (p - f) * other if f else row
                     for row, f in zip(rows, fs)]
 
-        def lane_adder(gs):
-            def add(xs, ys):
-                return [(x + g * y) % p for x, g, y in zip(xs, gs, ys)]
+        def drop_rows(rows, fs, other):
+            return [(row + (p - f) * other if f else row) >> 64
+                    for row, f in zip(rows, fs)]
+
+        def shift(row, j):
+            return row << (j << 6)
+
+        def lane_adder(top):
+            top = [[y % p for y in ys] for ys in top]
+
+            def add(row, gs):
+                return [[x + g * y for x, g, y in zip(xs, gs, ys)]
+                        for xs, ys in zip(row, top)]
             return add
 
         return dict(add=add, neg=neg, mul=mul, inv=inv, pack=pack,
                     store=store, column=column, scale=scale,
-                    sub_rows=sub_rows, lane_adder=lane_adder)
+                    sub_rows=sub_rows, drop_rows=drop_rows, shift=shift,
+                    lane_adder=lane_adder)
 
-    # GF(2^k), k >= 2: scalar products go through discrete log/antilog
-    # tables w.r.t. the smallest generator g, filled by one walk of its
-    # q - 1 powers; v*g is linear in v, so a step reads it off one table
-    # per byte of v. The tables are laid out as the module docstring
-    # says: exp doubled and then zero-padded, log[0] the zero sentinel.
+    # GF(2^k), k >= 2: a row is the stored row's little-endian bytes read
+    # as one int of w-bit slots, each a canonical code (module docstring).
     k, q, m = field.degree, field.order, field.modulus
+    tc = field.typecode
+    size = array(tc).itemsize
+    w, r, top, low = 8 * size, m ^ q, k - 1, (q >> 1) - 1
+    one = (1).to_bytes(size, "little")
+
+    def pack(row):
+        return int.from_bytes(_little_endian(row, tc), "little")
+
+    def store(row, n):
+        return _little_endian(array(tc, row.to_bytes(size * n, "little")), tc)
+
+    def column(rows, j):
+        s = j * w
+        mask = (q - 1) << s
+        return [(row & mask) >> s for row in rows]
+
+    def powers(other, count):
+        # x^i*other for i < count: a step doubles every slot, and a slot
+        # whose top bit falls out takes r in its place
+        ones = int.from_bytes(one * (other.bit_length() // w + 1), "little")
+        lows = ones * low
+        return [other][:count] + [other := (other & lows) << 1
+                                  ^ (other >> top & ones) * r
+                                  for _ in range(1, count)]
+
+    def update(rows, fs, other, s):
+        # row - f*other through product tables, then shifted down s bits
+        t0, t1, t2, t3 = _product_tables(
+            powers(other, max(fs, default=0).bit_length()))
+        # A scalar of k <= 8 bits reaches only the two low windows, and an
+        # XOR with an empty window's 0 still copies the row, so it reads
+        # two; that keeps a dense 256x256 GF(2^8) rank about 20% faster.
+        if k <= 8:
+            return [(row ^ t0[f & 15] ^ t1[f >> 4] if f else row) >> s
+                    for row, f in zip(rows, fs)]
+        return [(row ^ t0[f & 15] ^ t1[f >> 4 & 15] ^ t2[f >> 8 & 15]
+                 ^ t3[f >> 12] if f else row) >> s for row, f in zip(rows, fs)]
+
+    def sub_rows(rows, fs, other):
+        if len(fs) - fs.count(0) >= _TABLE_ROWS:
+            return update(rows, fs, other, 0)
+        basis = powers(other, max(fs, default=0).bit_length())
+        return [_combine(basis, row, f) if f else row
+                for row, f in zip(rows, fs)]
+
+    def drop_rows(rows, fs, other):
+        return update(rows, fs, other, w)
+
+    def shift(row, j):
+        return row << j * w
+
+    def scale(row, a):
+        return _combine(powers(row, a.bit_length()), 0, a)
+
+    # Scalar products go through discrete log/antilog tables w.r.t. the
+    # smallest generator g, found with `scale` as the product and filled
+    # by one walk of its q - 1 powers; v*g is linear in v, so a step reads
+    # it off one table per byte of v, lo[c] = c*g and hi[c] = (c << 8)*g.
+    # The tables are laid out as the module docstring says.
     n = q - 1
-    g = _generator(k, m)
-    # lo[c] = c*g and hi[c] = (c << 8)*g: bit b of v adds t = g*x^b
-    lo, hi, t = [0], [0], g
-    for b in range(k):
-        half = lo if b < 8 else hi
-        half += [x ^ t for x in half]
-        t <<= 1
-        if t >> k:
-            t ^= m
+    g = _generator(k, scale)
+    lo, hi = _product_tables(powers(g, k), 8)
     exp = array("H", [0]) * (4 * n + 1)
     log = array("I", [0]) * q
     v = 1
@@ -576,73 +629,19 @@ def _arithmetic(field: FieldSpec) -> dict:
             raise ZeroDivisionError(no_inverse)
         return exp[q - 1 - log[a]]
 
-    # A row is one int of w-bit slots, slot j for column j, each holding
-    # a polynomial of degree below 2k - 1 that is reduced mod m only when
-    # read, by x^k = r (see the module docstring). `reduce` folds every
-    # slot at once: lo keeps bits 0..k-1 of each slot, top the rest. The
-    # two masks are built once for the widest row reduced so far, as a
-    # mask wider than a row masks it the same; `masks` only ever holds a
-    # correct pair, so sharing the field across threads stays safe.
-    w = 8 if k <= 4 else 16 if k <= 8 else 32
-    nbytes, slot, low = w // 8, (1 << w) - 1, q - 1
-    r = m ^ q
-    r_bits = [i for i in range(k) if r >> i & 1]
-    log_r = log[r]
-    masks = [(0, 0)]
+    def lane_adder(top):
+        top = [[log[y] for y in ys] for ys in top]
 
-    def reduce(row):
-        lo, top = masks[0]
-        if row.bit_length() > top.bit_length():
-            full = (1 << (w * -(-row.bit_length() // w))) - 1
-            lo = full // slot * low
-            top = full ^ lo
-            masks[0] = lo, top
-        hi = row & top
-        while hi:
-            row &= lo
-            hi >>= k
-            for i in r_bits:
-                row ^= hi << i
-            hi = row & top
-        return row
-
-    pack, narrow = _slot_codec(field.typecode, nbytes)
-
-    def store(row, n):
-        return narrow(reduce(row).to_bytes(nbytes * n, "little"))
-
-    def column(rows, j):
-        s = j * w
-        return [x if (x := row >> s & slot) < q
-                else x & low ^ exp[log[x >> k] + log_r] for row in rows]
-
-    def sub_rows(rows, fs, other):
-        if len(fs) - fs.count(0) < _TABLE_ROWS:
-            return [_shift_xor(other, row, f) if f else row
-                    for row, f in zip(rows, fs)]
-        t0, t1, t2, t3 = _product_tables(other, k)
-        # A scalar of k <= 8 bits reaches only the two low windows, and an
-        # XOR with an empty window's 0 still copies the row, so it reads
-        # two; that keeps a dense 256x256 GF(2^8) rank about 20% faster.
-        if k <= 8:
-            return [row ^ t0[f & 15] ^ t1[f >> 4] if f else row
-                    for row, f in zip(rows, fs)]
-        return [row ^ t0[f & 15] ^ t1[f >> 4 & 15] ^ t2[f >> 8 & 15]
-                ^ t3[f >> 12] if f else row for row, f in zip(rows, fs)]
-
-    def scale(row, a):
-        return reduce(_shift_xor(reduce(row), 0, a))
-
-    def lane_adder(gs):
-        lgs = [log[g] for g in gs]
-
-        def add(xs, ys):
-            return [x ^ exp[lg + log[y]] for x, lg, y in zip(xs, lgs, ys)]
+        def add(row, gs):
+            lgs = [log[g] for g in gs]
+            return [[x ^ exp[lg + ly] for x, lg, ly in zip(xs, lgs, ys)]
+                    for xs, ys in zip(row, top)]
         return add
 
     return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv,
                 pack=pack, store=store, column=column, scale=scale,
-                sub_rows=sub_rows, lane_adder=lane_adder)
+                sub_rows=sub_rows, drop_rows=drop_rows, shift=shift,
+                lane_adder=lane_adder)
 
 
 def prime_field(p: int) -> FieldSpec:

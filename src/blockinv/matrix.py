@@ -15,21 +15,27 @@ entry.
 
 Arithmetic on rows runs on the field's packed rows: an operation packs
 its operand rows with `pack`, works on them with `scale(row, a) = a*row`
-and with two operations on whole lists of rows, `column(rows, j)`, which
-reads column j, and the one row update `sub_rows(rows, fs, other)`,
-which returns each row minus its factor times `other`; it stores its
-result with `store` (see field.py for each field's packed form). This
-module never branches on the field kind and never counts rows for the
-field: `sub_rows` sees every factor of an update at once, so over
-GF(2^k) it decides itself whether enough of them are nonzero to share
-product tables. Elimination reads each pivot column once and clears it
-with one `sub_rows` call. A product makes one call per row of its right
-factor, with the negated matching left column as the factors, and
-stores each output row once. The Kronecker product scales rows, and
-addition adds codes with the scalar `add`.
+and with operations on whole lists of rows, `column(rows, j)`, which
+reads column j, the row update `sub_rows(rows, fs, other)`, which
+returns each row minus its factor times `other`, and `drop_rows`, the
+same update with column 0 shifted out; it stores its result with `store`
+(see field.py for each field's packed form). This module never branches
+on the field kind and never counts rows for the field: an update sees
+every factor at once, so over GF(2^k) it decides itself whether enough
+of them are nonzero to share product tables. A product makes one
+`sub_rows` call per row of its right factor, with the negated matching
+left column as the factors, and stores each output row once. The
+Kronecker product scales rows, and addition adds codes with the scalar
+`add`.
 
-Elimination is one forward pass, `_echelon`: it normalises each pivot
-row with scale and eliminates below the pivot only. `rank()` runs that
+Elimination is one forward pass, `_echelon`, on the trailing submatrix:
+the rows that hold no pivot yet, from the column being read on. Each
+such row is kept shifted so that this column is its entry 0; the pivot
+row is normalised with scale and leaves those rows, and one `drop_rows`
+call clears the column in the others and shifts it out, so each entry
+is read and updated only while it is not yet cleared. A row is shifted
+back into place (`FieldSpec.shift`) as it takes its pivot, or at the
+end if it takes none. `rank()` runs that
 pass alone. `_gauss_jordan` owns the one reduction of [A | I] to
 [E | P], with P @ A = E: `_row_reduce` adds a back-substitution pass
 clearing above each pivot, and the reduced row-echelon form is unique,
@@ -62,37 +68,38 @@ class SingularMatrixError(ValueError):
 def _echelon(rows: list, field: FieldSpec, width: int) -> list[int]:
     """Bring packed `rows` to row-echelon form in place (forward pass).
 
-    Pivots are sought in the first `width` columns. Each column is read
-    once, in the rows not yet holding a pivot: the first nonzero entry
-    is the pivot, and the entries give the factors that clear the
-    column below it. The pivot row is scaled so that its pivot is 1,
-    which also leaves it in canonical codes, and swapped to the top of
-    those rows, where its own factor is zero. Entries left of a pivot
-    column are already zero in the pivot row, so an update leaves those
-    columns as they are.
+    Pivots are sought in the first `width` columns, left to right, in the
+    live rows, those holding no pivot yet, each kept shifted so that the
+    column being read is its entry 0. The first nonzero entry there is
+    the pivot. Its row is scaled so that the pivot is 1, which also
+    leaves it in canonical codes, and leaves the live rows, the first
+    live row taking its place; the column's entries are the factors of
+    one `drop_rows` update that clears the column in the other live rows
+    and shifts it out. A pivot row has zeros left of its pivot column,
+    and a row left live has zeros in all `width` columns, so shifting
+    each back by that many entries, a pivot row as soon as it is found,
+    gives the echelon form, pivot rows first.
 
     Returns the pivot columns; their count is the rank of that part.
     """
-    column, sub_rows = field.column, field.sub_rows
+    column, drop_rows, shift = field.column, field.drop_rows, field.shift
     scale, inv = field.scale, field.inv
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
+    live, rows[:], pivots = rows[:], (), []
     for c in range(width):
-        below = rows[r:]
-        col = column(below, c)
+        col = column(live, 0)
         x = next(filter(None, col), 0)
-        if not x:
-            continue
-        i = col.index(x)
-        prow = scale(below[i], inv(x))
-        below[i], col[i] = below[0], 0
-        below[0] = prow
-        rows[r:] = sub_rows(below, col, prow)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        prow = 0
+        if x:
+            i = col.index(x)
+            prow = scale(live[i], inv(x))
+            live[i], col[i] = live[0], col[0]
+            del live[0], col[0]
+            rows.append(shift(prow, c))
+            pivots.append(c)
+            if not live:
+                break
+        live = drop_rows(live, col, prow)
+    rows += [shift(row, width) for row in live]
     return pivots
 
 

@@ -24,11 +24,11 @@ The distinct blocks are decided together, up to _BATCH at a time, by
 one forward elimination over lanes: lane (i, j) holds entry (i, j) of
 every block in the batch, one strided slice of the batch's keys joined
 into one stored row. Each row update is one call of the field's
-lane update (`FieldSpec.lane_adder`), a single list comprehension over
-a whole lane, so the per-call cost of an elimination is paid once per
-batch instead of once per block, and no field operation is called per
-entry. Each block searches its own pivot and swaps rows only inside its
-own lanes; a p x p block is invertible exactly when every one of its p
+lane update (`FieldSpec.lane_adder`), a list comprehension over whole
+lanes, so the per-call cost of an elimination is paid once per batch
+instead of once per block, and no field operation is called per entry.
+Each block searches its own pivot and swaps rows only inside its own
+lanes; a p x p block is invertible exactly when every one of its p
 columns yields a pivot, so the verdicts are exact.
 """
 
@@ -72,21 +72,24 @@ def _invertible(blocks: list[bytes], field: FieldSpec, p: int) -> list[bool]:
     swaps in the first row below it with a nonzero entry, and a block
     with none is singular. A singular block clears nothing in that
     column and goes on through the later ones, but its verdict is
-    already fixed. Each row below the pivot row gets one lane update,
-    `add = field.lane_adder(gs)` with gs[b] = -entry / pivot of block b
-    (0 for a singular block), and `add(row[j], top[j])` clears it lane
-    by lane in every column j right of c.
+    already fixed. The pivot row's lanes right of column c are read
+    once, by `add = field.lane_adder(top[c + 1:])`, and each row below
+    it gets one lane update, `add(row[c + 1:], gs)` with gs[b] = -entry
+    / pivot of block b (0 for a singular block), which clears it lane by
+    lane in every column right of c. Over GF(p) an update leaves its
+    sums unreduced, so a code is tested for zero as x % order, which is
+    the code itself in a binary field.
     """
     lane_adder, mul, neg, inv = (field.lane_adder, field.mul, field.neg,
                                  field.inv)
-    codes, size = field.join(blocks), p * p
+    codes, size, q = field.join(blocks), p * p, field.order
     lanes = [[codes[i * p + j::size].tolist() for j in range(p)]
              for i in range(p)]
     ok = [True] * len(blocks)
     for c in range(p):
         top = lanes[c]
-        for b in [b for b, x in enumerate(top[c]) if not x]:
-            i = next((i for i in range(c + 1, p) if lanes[i][c][b]), 0)
+        for b in [b for b, x in enumerate(top[c]) if not x % q]:
+            i = next((i for i in range(c + 1, p) if lanes[i][c][b] % q), 0)
             if not i:
                 ok[b] = False
                 continue
@@ -95,11 +98,10 @@ def _invertible(blocks: list[bytes], field: FieldSpec, p: int) -> list[bool]:
         if c + 1 == p:
             break
         # g = -entry / pivot, so row i + g * row c clears column c
-        piv = [neg(inv(x)) if x else 0 for x in top[c]]
+        piv = [neg(inv(x)) if x % q else 0 for x in top[c]]
+        add = lane_adder(top[c + 1:])
         for row in lanes[c + 1:]:
-            add = lane_adder(list(map(mul, row[c], piv)))
-            for j in range(c + 1, p):
-                row[j] = add(row[j], top[j])
+            row[c + 1:] = add(row[c + 1:], list(map(mul, row[c], piv)))
     return ok
 
 

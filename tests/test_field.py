@@ -203,7 +203,7 @@ def multiplicative_order(f, g):
                                binary_field(16), binary_field(16, 0x1CEB5)],
                          ids=str)
 def test_generator_is_the_smallest_of_full_order(f):
-    g = _generator(f.degree, f.modulus)
+    g = _generator(f.degree, f.mul)
     assert multiplicative_order(f, g) == f.order - 1
     assert all(multiplicative_order(f, c) < f.order - 1 for c in range(2, g))
 
@@ -215,17 +215,31 @@ LANE_FIELDS = [GF2, GF3, prime_field(65521), GF256, binary_field(16),
 @pytest.mark.parametrize("f", LANE_FIELDS, ids=str)
 def test_lane_adder_matches_scalar_ops(f):
     # lane by lane x + g*y, over every triple of a few codes, zeros
-    # included, then over random lanes; one update serves many lane pairs
+    # included, then over random lanes; one pivot row of two lanes
+    # serves several rows and factor lists. Over GF(p) the sums may be
+    # left unreduced, so each is read as its code mod the order, which
+    # is the code itself in a binary field; an unreduced sum added to
+    # again stays congruent.
     rnd = random.Random(11)
-    codes = {0, 1, f.order - 1} | {rnd.randrange(f.order) for _ in range(3)}
+    q = f.order
+    codes = {0, 1, q - 1} | {rnd.randrange(q) for _ in range(3)}
     lanes = list(itertools.product(sorted(codes), repeat=3))
-    lanes += [tuple(rnd.randrange(f.order) for _ in range(3))
+    lanes += [tuple(rnd.randrange(q) for _ in range(3))
               for _ in range(500)]
     xs, gs, ys = map(list, zip(*lanes))
-    add = f.lane_adder(gs)
-    for xs, ys in ((xs, ys), (ys, xs)):
-        expected = [f.add(x, f.mul(g, y)) for x, g, y in zip(xs, gs, ys)]
-        assert add(xs, ys) == expected
+
+    def added(row, fs):
+        return [[f.add(x, f.mul(g, y)) for x, g, y in zip(lane, fs, top)]
+                for lane, top in zip(row, (ys, xs))]
+
+    def codes(row):
+        return [[x % q for x in lane] for lane in row]
+
+    add = f.lane_adder([ys, xs])
+    for row, fs in (([xs, ys], gs), ([ys, xs], gs), ([xs, xs], ys)):
+        sums = add(row, fs)
+        assert codes(sums) == added(row, fs)
+        assert codes(add(sums, fs)) == added(added(row, fs), fs)
 
 
 @pytest.mark.parametrize("f", SMALL_FIELDS + [GF256, prime_field(251)],

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
+import tracemalloc
 
 import pytest
 
 from blockinv import field as field_module
 from blockinv.decompose import rank_decompose
-from blockinv.field import (_TABLE_ROWS, _product_tables, _shift_xor,
+from blockinv.field import (_TABLE_ROWS, _combine, _product_tables,
                             binary_field, parse_field, prime_field)
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
@@ -17,7 +19,8 @@ from oracles import (SLOW_REDUCTION, decomposition_check, scalar_matmul,
 
 KERNEL_FIELDS = (prime_field(2), prime_field(3), prime_field(65521),
                  binary_field(8), binary_field(8, 0x11D), binary_field(16))
-#: GF(2^k) for each slot width and for a partial top 4-bit window.
+#: GF(2^k) for each slot width, for spare bits in a slot and for a
+#: partial top 4-bit window.
 EXTENSION_FIELDS = [binary_field(k) for k in (2, 4, 5, 8, 9, 13, 16)] + [
     SLOW_REDUCTION]
 
@@ -76,8 +79,8 @@ def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
     an update returns, which a packed form may leave unreduced, with the
     update applied to one row and to enough rows with a nonzero factor
-    to build product tables; then the same on short rows cut from xs and
-    ys."""
+    to build product tables, and with entry 0 dropped and shifted back
+    in; then the same on short rows cut from xs and ys."""
     pack, n = field.pack, len(xs)
 
     def codes(row):
@@ -99,6 +102,9 @@ def _check_row_ops(field, coeffs, xs, ys):
             assert all(row is px for row in rows)
         row = rows[0]
         assert codes(row) == sums
+        dropped = field.drop_rows([px] * _TABLE_ROWS, [f] * _TABLE_ROWS, py)
+        assert dropped == [dropped[0]] * _TABLE_ROWS
+        assert codes(field.shift(dropped[0], 1)) == [0] + sums[1:]
         assert [field.column([row, px], j) for j in range(n)] == [
             [s, x] for s, x in zip(sums, xs)]
         assert codes(field.scale(row, a)) == [field.mul(a, x) for x in sums]
@@ -108,26 +114,28 @@ def _check_row_ops(field, coeffs, xs, ys):
 
 
 @pytest.fixture
-def shift_xors(monkeypatch):
-    """The `other` of each shift-XOR product the fields compute."""
+def combines(monkeypatch):
+    """The `other` of each product the fields form bit by bit from the
+    rows x^i*other."""
     calls = []
 
-    def counted(other, row, a):
-        calls.append(other)
-        return _shift_xor(other, row, a)
+    def counted(basis, row, a):
+        calls.append(basis[0] if basis else None)
+        return _combine(basis, row, a)
 
-    monkeypatch.setattr(field_module, "_shift_xor", counted)
+    monkeypatch.setattr(field_module, "_combine", counted)
     return calls
 
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The `other` of each set of product tables the fields build."""
+    """The rows x^i*other behind each set of product tables the fields
+    build, as (other, how many), (None, 0) for no row."""
     calls = []
 
-    def counted(other, k):
-        calls.append(other)
-        return _product_tables(other, k)
+    def counted(basis, *args):
+        calls.append((basis[0] if basis else None, len(basis)))
+        return _product_tables(basis, *args)
 
     monkeypatch.setattr(field_module, "_product_tables", counted)
     return calls
@@ -136,8 +144,8 @@ def table_builds(monkeypatch):
 @pytest.mark.parametrize("field, width", [
     (prime_field(2), 1), (binary_field(1), 1), (prime_field(3), 64),
     (prime_field(65521), 64), (binary_field(2), 8), (binary_field(4), 8),
-    (binary_field(5), 16), (binary_field(8), 16), (binary_field(9), 32),
-    (binary_field(16), 32)], ids=str)
+    (binary_field(5), 8), (binary_field(8), 8), (binary_field(9), 16),
+    (binary_field(16), 16)], ids=str)
 def test_pack_lays_entry_j_in_slot_j(field, width):
     rng = SplitMix64(width)
     for n in (1, 7, 65):
@@ -169,14 +177,16 @@ def test_row_ops_match_scalar_ops_on_samples(field):
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
 @pytest.mark.parametrize("slots", [8, 9])
-def test_each_path_starts_past_its_boundary(field, slots, shift_xors,
+def test_each_path_starts_past_its_boundary(field, slots, combines,
                                             table_builds):
     # Rows whose last entry is nonzero span exactly `slots` slots. A
-    # scale runs one shift-XOR product on a row of either length. An
-    # update of _TABLE_ROWS - 1 rows with a nonzero factor runs one
-    # shift-XOR product per row, and one of _TABLE_ROWS such rows builds
+    # scale forms one product bit by bit on a row of either length. An
+    # update of _TABLE_ROWS - 1 rows with a nonzero factor forms one
+    # product bit by bit per row, and one of _TABLE_ROWS such rows builds
     # product tables once and reads them instead, on rows of either
-    # length. An update with a zero factor runs neither.
+    # length. An update with a zero factor does neither. The update that
+    # drops entry 0 builds tables once whatever its rows, from no row of
+    # `other` when every factor is zero.
     rng = SplitMix64(slots * field.degree)
     q = field.order
     xs, ys = ([rng.below(q) for _ in range(slots - 1)] + [1 + rng.below(q - 1)]
@@ -186,19 +196,26 @@ def test_each_path_starts_past_its_boundary(field, slots, shift_xors,
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
         f = field.neg(a)
         for nrows, tables in ((_TABLE_ROWS - 1, False), (_TABLE_ROWS, True)):
-            shift_xors.clear()
+            combines.clear()
             table_builds.clear()
             rows = field.sub_rows([px] * nrows, [f] * nrows, py)
-            assert len(shift_xors) == (0 if tables or not a else nrows)
-            assert table_builds == ([py] if tables and a else [])
+            assert len(combines) == (0 if tables or not a else nrows)
+            assert [b for b, _ in table_builds] == ([py] if tables and a
+                                                    else [])
             assert rows == [rows[0]] * nrows
             assert field.store(rows[0], slots).tolist() == sums
             assert [field.column(rows[:1], j)[0]
                     for j in range(slots)] == sums
-        shift_xors.clear()
+            table_builds.clear()
+            rows = field.drop_rows([px] * nrows, [f] * nrows, py)
+            assert [b for b, _ in table_builds] == [py if a else None]
+            assert rows == [rows[0]] * nrows
+            assert field.store(field.shift(rows[0], 1), slots).tolist() == [
+                0] + sums[1:]
+        combines.clear()
         assert field.store(field.scale(px, a), slots).tolist() == [
             field.mul(a, x) for x in xs]
-        assert len(shift_xors) == 1
+        assert len(combines) == 1
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
@@ -218,17 +235,21 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
         assert [field.store(row, ncols).tolist() for row in rows] == rref
 
 
-def _counting_sub_rows(field, nonzero_seen):
-    """A fresh copy of `field` whose row updates record how many of
-    their factors are nonzero."""
+def _counting_updates(field, seen):
+    """A fresh copy of `field` whose row updates, `sub_rows` and
+    `drop_rows`, record their name and how many of their factors are
+    nonzero."""
     field = parse_field(str(field))
-    sub_rows = field.sub_rows
 
-    def counted(rows, fs, other):
-        nonzero_seen.append(len(fs) - fs.count(0))
-        return sub_rows(rows, fs, other)
+    def counting(name):
+        update = getattr(field, name)
 
-    field.sub_rows = counted
+        def counted(rows, fs, other):
+            seen.append((name, len(fs) - fs.count(0)))
+            return update(rows, fs, other)
+        return counted
+
+    field.sub_rows, field.drop_rows = map(counting, ("sub_rows", "drop_rows"))
     return field
 
 
@@ -238,13 +259,14 @@ def _counting_sub_rows(field, nonzero_seen):
                                            (3 * _TABLE_ROWS, True)])
 def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
                                                 table_builds):
-    # A pivot row updates at most nrows - 1 rows, so nrows = _TABLE_ROWS
-    # never builds product tables, and one more row can; tables are
-    # built for exactly the updates with _TABLE_ROWS nonzero factors or
-    # more. Dense and sparse fills, on wide and tall matrices, both ways,
-    # and a fill with no zero code (zero_share None), where the first
-    # pivot has nrows - 1 nonzero factors below it, so the 17-row
-    # boundary reaches the tables over every field.
+    # A pivot row updates at most nrows - 1 rows, so with nrows =
+    # _TABLE_ROWS no update has _TABLE_ROWS nonzero factors, and with one
+    # more row one can; tables are built for every update that drops a
+    # column, and for exactly the other updates with _TABLE_ROWS nonzero
+    # factors or more. Dense and sparse fills, on wide and tall matrices,
+    # both ways, and a fill with no zero code (zero_share None), where
+    # the first pivot has nrows - 1 nonzero factors below it, so the
+    # 17-row boundary is reached over every field.
     rng = SplitMix64(nrows * field.degree)
     for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
                               (nrows - 2, 0), (nrows - 2, 2),
@@ -257,34 +279,41 @@ def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
                       else rng.below(field.order) for _ in range(ncols)]
                      for _ in range(nrows)]
         rref, pivots = scalar_rref(codes, field)
-        nonzero = []
+        seen = []
+        counted = _counting_updates(field, seen)
         table_builds.clear()
-        counted = _counting_sub_rows(field, nonzero)
         rows = [counted.pack(row) for row in codes]
         assert _echelon(list(rows), counted, ncols) == pivots
         assert _row_reduce(rows, counted, ncols) == pivots
         assert [counted.store(row, ncols).tolist() for row in rows] == rref
-        assert len(table_builds) == sum(c >= _TABLE_ROWS for c in nonzero)
+        assert len(table_builds) == sum(name == "drop_rows"
+                                        or c >= _TABLE_ROWS
+                                        for name, c in seen)
         if zero_share is None or not tables:
-            assert (max(nonzero) >= _TABLE_ROWS) == tables
+            assert (max(c for _, c in seen) >= _TABLE_ROWS) == tables
 
 
 def test_a_clear_column_builds_no_update(table_builds):
-    nonzero = []
-    field = _counting_sub_rows(binary_field(16), nonzero)
+    # every update of the identity has only zero factors, so none forms
+    # a product: the tables that dropping a column builds hold no row
+    seen = []
+    field = _counting_updates(binary_field(16), seen)
+    table_builds.clear()
     rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
     assert _row_reduce(rows, field, 40) == list(range(40))
-    assert set(nonzero) == {0}
-    assert table_builds == []
+    assert {c for _, c in seen} == {0}
+    assert set(table_builds) == {(None, 0)}
 
 
 @pytest.mark.parametrize("nonzero, tables", [(_TABLE_ROWS - 1, False),
                                              (_TABLE_ROWS, True)])
 def test_tables_serve_only_nonzero_factors(nonzero, tables, table_builds):
-    # A pivot with 3 * _TABLE_ROWS rows below it, `nonzero` of them, one
-    # in three, with a nonzero entry in its column: the update builds
-    # product tables only if that many rows can share them.
+    # A pivot row with 3 * _TABLE_ROWS rows below it, `nonzero` of them,
+    # one in three, with a nonzero entry in its column: `sub_rows`
+    # clearing the column builds product tables only if that many rows
+    # can share them.
     field = binary_field(8)
+    table_builds.clear()  # the field's own log/exp tables
     rng = SplitMix64(nonzero)
     below = 3 * _TABLE_ROWS
     fs = [0] * below
@@ -292,7 +321,7 @@ def test_tables_serve_only_nonzero_factors(nonzero, tables, table_builds):
     codes = [[1] + [rng.below(256) for _ in range(20)]] + [
         [f] + [rng.below(256) for _ in range(20)] for f in fs]
     rows = [field.pack(row) for row in codes]
-    assert _echelon(rows, field, 1) == [0]
+    rows[1:] = field.sub_rows(rows[1:], fs, rows[0])
     assert len(table_builds) == tables
     assert [field.store(row, 21).tolist() for row in rows] == [codes[0]] + [
         [field.add(x, field.mul(f, p)) for x, p in zip(row, codes[0])]
@@ -312,9 +341,9 @@ def _square(field, n, fill, rng):
 
 
 # GF(2) rows that end just before, at and just past a 64-bit word,
-# GF(65521) rows of 260 64-bit slots, and GF(2^k) rows of 8-, 16- and
-# 32-bit slots on both sides of each slot-width switch, 20 slots (160 to
-# 640 bits) or 260 slots long
+# GF(65521) rows of 260 64-bit slots, and GF(2^k) rows of 8- and 16-bit
+# slots on both sides of the slot-width switch and of a full slot, 20
+# slots (160 or 320 bits) or 260 slots long
 @pytest.mark.parametrize("field, n", [(prime_field(2), 63),
                                       (prime_field(2), 64),
                                       (prime_field(2), 65),
@@ -381,12 +410,124 @@ def test_product_of_top_codes_fills_every_slot():
 
 @pytest.mark.parametrize("n", [300, 301])
 def test_binary_product_of_top_codes_fills_every_slot(n):
-    # every term is the carry-less product (q-1)*(q-1) of degree 30, the
-    # highest an unreduced 32-bit slot holds; n = 300 equal terms cancel
-    # to 0, n = 301 leave one to reduce
+    # every term is the product (q-1)*(q-1), whose carry-less form has
+    # degree 30, the most a product must reduce; n = 300 equal terms
+    # cancel to 0, n = 301 leave one
     field = binary_field(16)
     m = Matrix(field, [[field.order - 1] * n] * n)
     (row0,) = scalar_matmul(m, m, rows=[0])
     assert row0 == [0 if n % 2 == 0 else field.mul(field.order - 1,
                                                     field.order - 1)] * n
     assert (m @ m).to_lists() == [row0] * n
+
+
+#: The fields of the rank shapes below: GF(2), GF(p), and GF(2^k) for
+#: each slot width and both GF(2^8) moduli.
+RANK_FIELDS = [prime_field(2), prime_field(3), prime_field(65521),
+               *EXTENSION_FIELDS, binary_field(8, 0x11D)]
+
+
+def _rank_shapes(field, rng):
+    """Matrices whose elimination leaves rows in every state: wide and
+    tall, zero columns, columns with no pivot, duplicate rows, a pivot
+    only in the last row, a single row or column, and all zeros."""
+    q = field.order
+
+    def rand(nrows, ncols):
+        return [[rng.below(q) for _ in range(ncols)] for _ in range(nrows)]
+
+    wide, tall = rand(5, 9), rand(9, 5)
+    zero_cols = [[0, x, 0, y, 0, z] for x, y, z in rand(6, 3)]
+    # column 2 is column 0 plus column 1, so it never holds a pivot
+    no_pivot = [[x, y, field.add(x, y), z] for x, y, z in rand(5, 3)]
+    dup = rand(3, 7)
+    dup = [dup[0], dup[1], dup[0], dup[2], dup[1]]
+    last = [[0] + row[1:] for row in rand(6, 6)]
+    last[-1][0] = 1 + rng.below(q - 1)
+    return [wide, tall, zero_cols, no_pivot, dup, last, rand(1, 7),
+            rand(7, 1), [[0] * 4] * 3]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+def test_rank_matches_scalar_oracle(field):
+    # `_echelon` shifts each row back into place after dropping the
+    # columns it cleared; the rank and the reduced form must agree with
+    # entry-by-entry Gauss-Jordan on shapes that leave rows with and
+    # without a pivot, and the inverse and rank decomposition of every
+    # square one, built on the same pass over [A | I], must hold
+    rng = SplitMix64(0x0A4C)
+    for codes in _rank_shapes(field, rng):
+        nrows, ncols = len(codes), len(codes[0])
+        rref, pivots = scalar_rref(codes, field)
+        m = Matrix(field, codes)
+        assert m.rank() == len(pivots)
+        rows = [field.pack(row) for row in codes]
+        assert _row_reduce(rows, field, ncols) == pivots
+        assert [field.store(row, ncols).tolist() for row in rows] == rref
+        if nrows == ncols:
+            assert decomposition_check(m, rank_decompose(m))
+            if len(pivots) == nrows:
+                assert m @ m.inverse() == Matrix.identity(field, nrows)
+
+
+def _products_are_canonical(field, coeffs, codes):
+    """a*row for each a of coeffs, through every path that forms a
+    product, as packed rows equal to the packed scalar products: a slot
+    holding anything but its canonical code would differ."""
+    pack, n = field.pack, len(codes)
+    row, zero = pack(codes), pack([0] * n)
+    for a in coeffs:
+        want = [field.mul(a, x) for x in codes]
+        assert field.scale(row, a) == pack(want)
+        for nrows in (_TABLE_ROWS - 1, _TABLE_ROWS):
+            # 0 - a*row = a*row in characteristic 2
+            assert field.sub_rows([zero] * nrows, [a] * nrows, row) == [
+                pack(want)] * nrows
+        assert field.drop_rows([zero] * 2, [a] * 2, row) == [
+            pack(want[1:])] * 2
+
+
+@pytest.mark.parametrize("field", [binary_field(k) for k in range(2, 9)]
+                         + [binary_field(8, 0x11D)], ids=str)
+def test_products_are_canonical_exhaustively(field):
+    # every factor times a row holding every code, so every slot with its
+    # top bit set meets every factor, x = 2 (one step of the
+    # multiply-by-x) among them
+    q = field.order
+    _products_are_canonical(field, range(q), list(range(q)))
+
+
+@pytest.mark.parametrize("field", [binary_field(k) for k in range(9, 17)]
+                         + [SLOW_REDUCTION], ids=str)
+def test_products_are_canonical_on_samples(field):
+    # long rows that hold the codes with only the top bit set, or all
+    # bits, among random ones, times each power of x and sampled factors
+    rng = SplitMix64(field.modulus)
+    q = field.order
+    codes = [rng.below(q) for _ in range(1500)] + [q >> 1, q - 1, 1]
+    coeffs = ([1 << i for i in range(field.degree)] + [0, q - 1]
+              + [rng.below(q) for _ in range(12)])
+    _products_are_canonical(field, coeffs, codes)
+
+
+def test_rank_holds_two_lists_of_two_byte_rows():
+    # The rank of a random 256 x 256 GF(2^16) matrix keeps at most two
+    # lists of n packed rows, the live rows and the ones an update makes,
+    # each row an int of 2 bytes per code (sys.getsizeof gives what
+    # CPython takes for one), plus a list pointer each; 64 KB covers the
+    # product tables of one update, k + 64 rows the length of the first
+    # one, and the column it reads. Rows of unreduced 32-bit slots would
+    # need twice the first term.
+    field, n = binary_field(16), 256
+    rng = SplitMix64(0x3E3)
+    m = Matrix(field, [[rng.below(field.order) for _ in range(n)]
+                       for _ in range(n)])
+    row_size = sys.getsizeof(field.pack([field.order - 1] * n))
+    bound = 2 * n * (row_size + 8) + 64 * 1024
+    tracemalloc.start()
+    try:
+        assert m.rank() == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
