@@ -31,20 +31,16 @@ this way): `add = lane_adder(top)` reads the lanes of a pivot row once,
 and `add(row, gs)` returns the lanes x + g*y of another row, lane by
 lane, one list comprehension with no call per entry; over GF(p) it
 leaves each sum unreduced, adding less than p^2 per update. All of them
-are chosen together at construction by one arm per field kind, so
-neither the field nor any caller branches on the kind per operation,
+are chosen together at construction by one arm per characteristic,
+so neither the field nor any caller branches on the kind per operation,
 and no caller sees a packed form:
 
-    GF(2)      one int per row, bit j for column j; an update is an XOR.
-               `pack` maps the row's bytes to the digits of a binary
-               numeral (`bytes.translate`) and reads it with `int`;
-               `store` translates the numeral's digits back to bytes.
-    GF(p)      one int per row of 64-bit slots, slot j for column j;
-               an update is row + (p - f)*other, reduced mod p only by
+    GF(p)      p odd: one int per row of 64-bit slots, slot j for column
+               j; an update is row + (p - f)*other, reduced mod p only by
                `column`, `scale` and `store` (delayed modular reduction).
-    GF(2^k)    one int per row of w-bit slots, slot j holding the code
-               of column j, for k >= 2; w = 8 for k <= 8 and 16 above,
-               the width of a stored entry, so `pack` is one
+    GF(2^k)    k >= 1, gf(2) included: one int per row of w-bit slots,
+               slot j holding the code of column j; w = 8 for k <= 8 and
+               16 above, the width of a stored entry, so `pack` is one
                `int.from_bytes` of the stored row and `store` one
                `to_bytes`. An update XORs in the product f*other (in
                characteristic 2, -f = f), formed already reduced, so
@@ -70,6 +66,9 @@ the four rows its bits select, by XOR doubling, so a row costs one
 lookup and XOR per window, ceil(k/4) in all, whatever the bits of f.
 Both ways cost time in proportion to the row's length, so only the
 number of rows that share the tables decides whether they pay off.
+At k = 1 the only nonzero factor is 1, whose product is `other` itself,
+so no row is ever multiplied by x, and prime gf(2), which has no
+modulus, needs none.
 
 A GF(p) slot never borrows, because `sub_rows` subtracts f*other by
 adding (p - f)*other, whose factor lies in 1..p-1 for a nonzero
@@ -96,10 +95,11 @@ independent implementations agree byte-for-byte. For reference:
 Any other irreducible polynomial of the right degree may be passed in
 explicitly (e.g. the mask 0x11D for the Reed-Solomon flavour of GF(2^8)).
 The log/exp tables behind GF(2^k) products use the smallest generator of
-the multiplicative group, also derived: g = 2, 3, ... is tested by its
-order, g^((2^k - 1)/r) != 1 for each prime r dividing 2^k - 1, and one
-walk of the first g that passes fills the tables. (The default modulus
-is not always primitive: x has order 21845 under 0x1002B, and g = 3.)
+the multiplicative group, also derived: g = 1, 2, 3, ... is tested by
+its order, g^((2^k - 1)/r) != 1 for each prime r dividing 2^k - 1 (1
+passes only for k = 1), and one walk of the first g that passes fills
+the tables. (The default modulus is not always primitive: x has order
+21845 under 0x1002B, and g = 3.)
 The tables are arrays of machine ints, 768 KB in all for GF(2^16), and
 boxed ints would take six times that: exp holds 16-bit codes, the powers
 g^0 .. g^(q-2) twice so that exp[log[a] + log[b]] needs no reduction,
@@ -140,9 +140,6 @@ MAX_DEGREE = 16
 #: An array holds its entries in the machine's byte order; packed rows
 #: are read from little-endian bytes.
 _BIG_ENDIAN = sys.byteorder == "big"
-#: The bytes 0 and 1 of a GF(2) stored row as binary digits, and back.
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class FieldError(ValueError):
@@ -316,7 +313,7 @@ class FieldSpec:
         so a sound row is never read code by code in Python; any other
         row is checked code by code, which names its first bad code."""
         if type(codes) is bytes and self.typecode == "B":
-            if max(codes) < self.order:
+            if max(codes, default=0) < self.order:
                 return array("B", codes)
         elif set(map(type, codes)) == {int} and max(codes) < self.order:
             try:
@@ -384,12 +381,13 @@ def _power(a: int, e: int, mul) -> int:
 
 
 def _generator(k: int, mul) -> int:
-    """The smallest generator of GF(2^k)*, k >= 2, under the product
+    """The smallest generator of GF(2^k)*, k >= 1, under the product
     `mul`.
 
     g generates the group of order n = 2^k - 1 exactly when
     g^(n/r) != 1 for every prime r dividing n, so no candidate's powers
-    are walked.
+    are walked. The search starts at 1, which passes only for k = 1,
+    where n = 1 has no prime divisor and the group is {1}.
     """
     n = (1 << k) - 1
     primes, rest, d = [], n, 3  # n is odd
@@ -401,12 +399,14 @@ def _generator(k: int, mul) -> int:
         d += 2
     if rest > 1:
         primes.append(rest)
-    return next(g for g in range(2, n + 1)
+    return next(g for g in range(1, n + 1)
                 if all(_power(g, n // r, mul) != 1 for r in primes))
 
 
 def _arithmetic(field: FieldSpec) -> dict:
-    """The operations of `field` by name, one arm per kind.
+    """The operations of `field` by name, one arm per characteristic:
+    64-bit slots for odd p, canonical w-bit slots for every field of
+    characteristic 2, gf(2) and gf(2^1) included.
 
     `pack(codes)` turns a row of codes into the arm's packed row, and
     `store(row, n)` turns a packed row of n entries back into a stored
@@ -430,57 +430,12 @@ def _arithmetic(field: FieldSpec) -> dict:
     unreduced GF(p) codes. inv(0) raises ZeroDivisionError.
     """
     no_inverse = f"0 has no multiplicative inverse in {field}"
-    # In characteristic 2, -a = a, so `neg` is operator.pos, which hands
-    # back the int itself with no Python-level call.
 
-    if field.order == 2:
-        # GF(2), spelled gf(2) or gf(2^1): a row is one int with bit j
-        # for column j, and the only nonzero factor is 1, so a row
-        # update is an XOR.
-        def inv(a):
-            if not a:
-                raise ZeroDivisionError(no_inverse)
-            return 1
-
-        def pack(row):
-            return int(bytes(row)[::-1].translate(_TO_DIGITS), 2)
-
-        def store(row, n):
-            return array(field.typecode,
-                         f"{row:0{n}b}".encode()[::-1].translate(_FROM_DIGITS))
-
-        def column(rows, j):
-            return [row >> j & 1 for row in rows]
-
-        def scale(row, a):
-            return row if a else 0
-
-        def sub_rows(rows, fs, other):
-            return [row ^ other if f else row for row, f in zip(rows, fs)]
-
-        def drop_rows(rows, fs, other):
-            return [(row ^ other if f else row) >> 1
-                    for row, f in zip(rows, fs)]
-
-        def shift(row, j):
-            return row << j
-
-        def lane_adder(top):
-            def add(row, gs):
-                return [[x ^ (g & y) for x, g, y in zip(xs, gs, ys)]
-                        for xs, ys in zip(row, top)]
-            return add
-
-        return dict(add=operator.xor, neg=operator.pos, mul=operator.and_,
-                    inv=inv, pack=pack, store=store, column=column,
-                    scale=scale, sub_rows=sub_rows, drop_rows=drop_rows,
-                    shift=shift, lane_adder=lane_adder)
-
-    if field.kind == PRIME:
-        # GF(p): a row is one int of 64-bit slots, slot j for column j,
-        # reduced mod p only when read. An update adds (p - f)*other slot
-        # by slot with no carry between slots, as long as every slot stays
-        # below 2^64 (see the module docstring).
+    if field.characteristic != 2:
+        # GF(p), p odd: a row is one int of 64-bit slots, slot j for
+        # column j, reduced mod p only when read. An update adds
+        # (p - f)*other slot by slot with no carry between slots, as long
+        # as every slot stays below 2^64 (see the module docstring).
         p, size = field.characteristic, array(field.typecode).itemsize
 
         def add(a, b):
@@ -544,12 +499,14 @@ def _arithmetic(field: FieldSpec) -> dict:
                     sub_rows=sub_rows, drop_rows=drop_rows, shift=shift,
                     lane_adder=lane_adder)
 
-    # GF(2^k), k >= 2: a row is the stored row's little-endian bytes read
-    # as one int of w-bit slots, each a canonical code (module docstring).
-    k, q, m = field.degree, field.order, field.modulus
+    # GF(2^k), k >= 1, gf(2) included: a row is the stored row's
+    # little-endian bytes read as one int of w-bit slots, each a canonical
+    # code (module docstring). Prime gf(2) has no modulus, so r = 0 stands
+    # in, as over gf(2^1); at k = 1 no slot is multiplied by x to read it.
+    k, q = field.degree, field.order
     tc = field.typecode
     size = array(tc).itemsize
-    w, r, top, low = 8 * size, m ^ q, k - 1, (q >> 1) - 1
+    w, r, top, low = 8 * size, (field.modulus or q) ^ q, k - 1, (q >> 1) - 1
     one = (1).to_bytes(size, "little")
 
     def pack(row):
@@ -638,6 +595,8 @@ def _arithmetic(field: FieldSpec) -> dict:
                     for xs, ys in zip(row, top)]
         return add
 
+    # In characteristic 2, -a = a, so `neg` is operator.pos, which hands
+    # back the int itself with no Python-level call.
     return dict(add=operator.xor, neg=operator.pos, mul=mul, inv=inv,
                 pack=pack, store=store, column=column, scale=scale,
                 sub_rows=sub_rows, drop_rows=drop_rows, shift=shift,

@@ -172,8 +172,9 @@ def test_binary_mul_matches_long_division_oracle():
 
 
 def test_inverse_of_zero_raises():
-    # each arm of the field arithmetic (GF(2), GF(p), GF(2^k)) checks zero;
-    # over GF(2^k) the log table's zero sentinel does not stand in for it
+    # both arms of the field arithmetic (odd p, characteristic 2) check
+    # zero; over GF(2^k) the log table's zero sentinel does not stand in
+    # for it
     for f in SMALL_FIELDS + [binary_field(1), prime_field(65521), GF256,
                              binary_field(16), SLOW_REDUCTION]:
         with pytest.raises(ZeroDivisionError):
@@ -206,6 +207,17 @@ def test_generator_is_the_smallest_of_full_order(f):
     g = _generator(f.degree, f.mul)
     assert multiplicative_order(f, g) == f.order - 1
     assert all(multiplicative_order(f, c) < f.order - 1 for c in range(2, g))
+
+
+@pytest.mark.parametrize("f", [GF2, binary_field(1)], ids=str)
+def test_gf2_is_the_degree_one_extension(f):
+    # both spellings of GF(2) share the characteristic-2 tables, whose
+    # generator search starts at 1, the generator of the trivial group
+    assert _generator(1, f.mul) == 1
+    assert [[f.mul(a, b) for b in (0, 1)] for a in (0, 1)] == [[0, 0], [0, 1]]
+    assert f.inv(1) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 LANE_FIELDS = [GF2, GF3, prime_field(65521), GF256, binary_field(16),
@@ -306,6 +318,14 @@ def test_validate_codes():
     GF5.row([0, 1, 2, 3, 4])
     with pytest.raises(ValueError, match="code 5 out of range for gf"):
         GF5.row([0, 1, 2, 3, 5])
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, GF256, prime_field(65521),
+                               binary_field(16)], ids=str)
+def test_empty_row_in_every_spelling(f):
+    # an empty bytes row is an empty stored row, as an empty list is
+    for codes in (b"", [], ()):
+        assert len(f.row(codes)) == 0
 
 
 # ----------------------------------------------------------------------

@@ -141,8 +141,19 @@ def table_builds(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("name", ["pack", "store", "column", "scale",
+                                  "sub_rows", "drop_rows", "shift",
+                                  "lane_adder"])
+def test_characteristic_two_binds_one_arm(name):
+    # GF(2) in either spelling is GF(2^k) at k = 1: its row operations are
+    # the same code as those of GF(2^8)
+    codes = {getattr(field, name).__code__ for field in (
+        prime_field(2), binary_field(1), binary_field(8))}
+    assert len(codes) == 1
+
+
 @pytest.mark.parametrize("field, width", [
-    (prime_field(2), 1), (binary_field(1), 1), (prime_field(3), 64),
+    (prime_field(2), 8), (binary_field(1), 8), (prime_field(3), 64),
     (prime_field(65521), 64), (binary_field(2), 8), (binary_field(4), 8),
     (binary_field(5), 8), (binary_field(8), 8), (binary_field(9), 16),
     (binary_field(16), 16)], ids=str)
@@ -340,11 +351,15 @@ def _square(field, n, fill, rng):
             return m
 
 
-# GF(2) rows that end just before, at and just past a 64-bit word,
-# GF(65521) rows of 260 64-bit slots, and GF(2^k) rows of 8- and 16-bit
-# slots on both sides of the slot-width switch and of a full slot, 20
-# slots (160 or 320 bits) or 260 slots long
-@pytest.mark.parametrize("field, n", [(prime_field(2), 63),
+# GF(2) rows of 8-bit slots that end just before, at and just past a
+# 64-bit word (8 slots) and far past it, GF(65521) rows of 260 64-bit
+# slots, and GF(2^k) rows of 8- and 16-bit slots on both sides of the
+# slot-width switch and of a full slot, 20 slots (160 or 320 bits) or
+# 260 slots long
+@pytest.mark.parametrize("field, n", [(prime_field(2), 7),
+                                      (prime_field(2), 8),
+                                      (prime_field(2), 9),
+                                      (prime_field(2), 63),
                                       (prime_field(2), 64),
                                       (prime_field(2), 65),
                                       (prime_field(2), 130),
@@ -487,7 +502,8 @@ def _products_are_canonical(field, coeffs, codes):
             pack(want[1:])] * 2
 
 
-@pytest.mark.parametrize("field", [binary_field(k) for k in range(2, 9)]
+@pytest.mark.parametrize("field", [prime_field(2)]
+                         + [binary_field(k) for k in range(1, 9)]
                          + [binary_field(8, 0x11D)], ids=str)
 def test_products_are_canonical_exhaustively(field):
     # every factor times a row holding every code, so every slot with its

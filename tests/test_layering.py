@@ -3,14 +3,15 @@
 Every other module in the package does its arithmetic through the
 FieldSpec interface (scalar ops, the row operation scale, the
 operations column/sub_rows on lists of rows, and the lane update
-lane_adder), so a change of representation, such as
-bit-packed GF(2) rows or the GF(2^k) log/exp arrays, stays inside
+lane_adder), so a change of representation, such as the slot
+width of a packed row or the GF(2^k) log/exp arrays, stays inside
 field.py. This test reads the sources with `ast` and fails on any
 reference to the field kind, the log/exp tables or the kind constants.
 
 Inside field.py the kind is read only where it names the field
-(identity and notation) and where `_arithmetic` picks the arm that binds
-a field's operations once, so no operation tests the kind per call.
+(identity and notation) and, at most, where `_arithmetic` picks the arm
+that binds a field's operations once (it picks by characteristic), so
+no operation tests the kind per call.
 
 The field has no surface that only tests use: every operation that
 `_arithmetic` binds and every public FieldSpec method is read as an
