@@ -58,14 +58,21 @@ from the one before, which multiplies every slot by x at once:
 x^k mod m, of degree below k; a slot whose top bit shifts out takes r
 in its place, so it stays canonical and never reaches the next slot. By
 linearity f*other is the XOR of the rows x^i*other over the set bits i
-of f (`_combine`), which `scale` and a `sub_rows` with fewer than
-_TABLE_ROWS nonzero factors form. `drop_rows`, and `sub_rows` with
-more, first build product tables from those rows (the windows of M4RIE:
-Albrecht, ISSAC 2012): for each 4-bit window of a scalar, the 16 sums of
-the four rows its bits select, by XOR doubling, so a row costs one
-lookup and XOR per window, ceil(k/4) in all, whatever the bits of f.
-Both ways cost time in proportion to the row's length, so only the
-number of rows that share the tables decides whether they pay off.
+of f (`_combine`), which is how `scale` and `sub_rows` form every
+product. `drop_rows` instead first builds product tables from those rows
+(the windows of M4RIE: Albrecht, ISSAC 2012): for each 4-bit window of a
+scalar, the 16 sums of the four rows its bits select, by XOR doubling,
+so a row costs one lookup and XOR per window, ceil(k/4) in all, whatever
+the bits of f. Building them takes 15 row XORs per window, and a
+window saves a row about one XOR (half of a factor's bits are set), so
+tables pay off only when some 15 rows or more share them. Each
+`drop_rows` call clears a column below a pivot, in every live row of an
+elimination. `sub_rows` serves products and the back-substitution of
+`inverse` and `rank_decompose`; the construction calls them on p x p
+blocks, so an update there has at most p nonzero factors, too few to
+share tables for the usual block sizes of 4 to 8. `sub_rows` keeps the
+one form that builds none, and a large dense product or inverse over
+GF(2^k), k >= 8, pays for that.
 At k = 1 the only nonzero factor is 1, whose product is `other` itself,
 so no row is ever multiplied by x, and prime gf(2), which has no
 modulus, needs none.
@@ -132,9 +139,6 @@ BINARY = "binary"
 MAX_PRIME = 1 << 16
 #: A GF(p) packed row holds one entry per 64-bit slot.
 _SLOT_MASK = (1 << 64) - 1
-#: A GF(2^k) row update with at least this many nonzero factors builds
-#: product tables for its fixed operand first.
-_TABLE_ROWS = 16
 #: Largest supported extension degree for GF(2^k).
 MAX_DEGREE = 16
 #: An array holds its entries in the machine's byte order; packed rows
@@ -422,7 +426,10 @@ def _arithmetic(field: FieldSpec) -> dict:
     returns `row` with j zero entries in front. None of them modifies
     its arguments. Over GF(p) the rows `sub_rows` and `drop_rows` return
     may hold unreduced slots, which only `column`, `scale` and `store`
-    read (see the module docstring for why no slot overflows).
+    read (see the module docstring for why no slot overflows). Over
+    GF(2^k), `scale` and `sub_rows` form each product bit by bit, and
+    `drop_rows` builds product tables once per call and reads every
+    product from them.
     lane_adder(top) takes the lanes of a pivot row, equal length lists
     of codes, and returns add(row, gs), which takes as many lanes of the
     same length and a list of canonical factors, and returns the new
@@ -529,28 +536,23 @@ def _arithmetic(field: FieldSpec) -> dict:
                                   ^ (other >> top & ones) * r
                                   for _ in range(1, count)]
 
-    def update(rows, fs, other, s):
-        # row - f*other through product tables, then shifted down s bits
+    def sub_rows(rows, fs, other):
+        basis = powers(other, max(fs, default=0).bit_length())
+        return [_combine(basis, row, f) if f else row
+                for row, f in zip(rows, fs)]
+
+    def drop_rows(rows, fs, other):
+        # row - f*other through product tables, then shifted down a slot
         t0, t1, t2, t3 = _product_tables(
             powers(other, max(fs, default=0).bit_length()))
         # A scalar of k <= 8 bits reaches only the two low windows, and an
         # XOR with an empty window's 0 still copies the row, so it reads
         # two; that keeps a dense 256x256 GF(2^8) rank about 20% faster.
         if k <= 8:
-            return [(row ^ t0[f & 15] ^ t1[f >> 4] if f else row) >> s
+            return [(row ^ t0[f & 15] ^ t1[f >> 4] if f else row) >> w
                     for row, f in zip(rows, fs)]
         return [(row ^ t0[f & 15] ^ t1[f >> 4 & 15] ^ t2[f >> 8 & 15]
-                 ^ t3[f >> 12] if f else row) >> s for row, f in zip(rows, fs)]
-
-    def sub_rows(rows, fs, other):
-        if len(fs) - fs.count(0) >= _TABLE_ROWS:
-            return update(rows, fs, other, 0)
-        basis = powers(other, max(fs, default=0).bit_length())
-        return [_combine(basis, row, f) if f else row
-                for row, f in zip(rows, fs)]
-
-    def drop_rows(rows, fs, other):
-        return update(rows, fs, other, w)
+                 ^ t3[f >> 12] if f else row) >> w for row, f in zip(rows, fs)]
 
     def shift(row, j):
         return row << j * w

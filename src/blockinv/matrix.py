@@ -20,9 +20,9 @@ reads column j, the row update `sub_rows(rows, fs, other)`, which
 returns each row minus its factor times `other`, and `drop_rows`, the
 same update with column 0 shifted out; it stores its result with `store`
 (see field.py for each field's packed form). This module never branches
-on the field kind and never counts rows for the field: an update sees
-every factor at once, so over GF(2^k) it decides itself whether enough
-of them are nonzero to share product tables. A product makes one
+on the field kind, and each operation forms its products one way: over
+GF(2^k), `drop_rows` reads them from product tables that all its rows
+share, and `sub_rows` forms each one bit by bit. A product makes one
 `sub_rows` call per row of its right factor, with the negated matching
 left column as the factors, and stores each output row once. The
 Kronecker product scales rows, and addition adds codes with the scalar

@@ -90,9 +90,8 @@ def dump(m: Matrix, p: int, fmt: str = TEXT) -> str:
 
 def load(text: str) -> tuple[Matrix, int]:
     """Parse either format (sniffed from the first byte) into (matrix, p)."""
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        return _load_json(stripped)
+    if text.lstrip().startswith(("{", "[")):
+        return _load_json(text)
     return _load_text(text)
 
 
@@ -163,9 +162,12 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     # a hook on every int would slow every load, so only a text that
     # may hold -0 is decoded with it
     decoder = json.JSONDecoder(parse_int=_json_int if "-0" in text else None)
+    # only JSON whitespace may precede the value, and error positions
+    # count from the start of the text
+    start = _SPACE.match(text).end()
     try:
-        obj = (_read_object(text, decoder.raw_decode) if text.startswith("{")
-               else decoder.decode(text))
+        obj = (_read_object(text, start, decoder.raw_decode)
+               if text.startswith("{", start) else decoder.decode(text))
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal over the int-conversion
         # limit, nesting deeper than the decoder's recursion limit, or -0
@@ -200,11 +202,11 @@ def _load_json(text: str) -> tuple[Matrix, int]:
     return data.matrix(), p
 
 
-def _read_object(s: str, decode) -> dict:
-    """The members of the JSON object `s`, the last of a repeated key
-    winning as in json.loads. `decode` is a JSONDecoder's raw_decode; a
-    syntax error raises json's JSONDecodeError, with json's wording and
-    position.
+def _read_object(s: str, i: int, decode) -> dict:
+    """The members of the JSON object at s[i], the last of a repeated key
+    winning as in json.loads, with nothing but JSON whitespace after it.
+    `decode` is a JSONDecoder's raw_decode; a syntax error raises json's
+    JSONDecodeError, with json's wording and position.
 
     "field" is parsed as soon as it is read, and kept as its FieldSpec or
     the FieldError that parsing raised. A "data" array read after a
@@ -213,7 +215,7 @@ def _read_object(s: str, decode) -> dict:
     other is kept as the list of its decoded elements."""
     import json
     members = {}
-    i = _SPACE.match(s, 1).end()
+    i = _SPACE.match(s, i + 1).end()
     if s[i:i + 1] != "}":
         while True:
             if s[i:i + 1] != '"':

@@ -454,6 +454,11 @@ GOLDEN = [
     # GF(2^16) rows take 32-bit slots
     (64, 8, binary_field(16), 0xB10CC0DE, StripChoice.FIRST,
      "becd87729bd72071decc9eecb787faeae5fafcb9b244156e6f56dcdbf7187d4a"),
+    # 17x17 blocks: a block product's update has up to 17 nonzero factors
+    (68, 17, GF256, 7, StripChoice.RANDOM,
+     "98d08632055864c01702794f900d3298d67905bc8f6df7f02071b74719e294be"),
+    (51, 17, binary_field(16), 7, StripChoice.LAST,
+     "f490c287e13e3c0f0de95a025b458d9d273e399e53d3da5ee78968792e2c4989"),
 ]
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from blockinv import field as field_module
 from blockinv.decompose import rank_decompose
-from blockinv.field import (_TABLE_ROWS, _combine, _product_tables,
-                            binary_field, parse_field, prime_field)
+from blockinv.field import (_combine, _product_tables, binary_field,
+                            parse_field, prime_field)
 from blockinv.matrix import Matrix, SingularMatrixError, _echelon, _row_reduce
 from blockinv.rng import SplitMix64
 
@@ -78,9 +78,9 @@ def test_kernel_digest_is_pinned():
 def _check_row_ops(field, coeffs, xs, ys):
     """Row operations against scalar ones, on packed rows and on the rows
     an update returns, which a packed form may leave unreduced, with the
-    update applied to one row and to enough rows with a nonzero factor
-    to build product tables, and with entry 0 dropped and shifted back
-    in; then the same on short rows cut from xs and ys."""
+    update applied to one row and to 16 rows, and with entry 0 dropped
+    and shifted back in; then the same on short rows cut from xs and
+    ys."""
     pack, n = field.pack, len(xs)
 
     def codes(row):
@@ -95,15 +95,15 @@ def _check_row_ops(field, coeffs, xs, ys):
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
         # row - f*other with f = -a adds a*other
         f = field.neg(a)
-        rows = (field.sub_rows([px], [f], py)
-                + field.sub_rows([px] * _TABLE_ROWS, [f] * _TABLE_ROWS, py))
-        assert rows == [rows[0]] * (1 + _TABLE_ROWS)
+        rows = field.sub_rows([px], [f], py) + field.sub_rows(
+            [px] * 16, [f] * 16, py)
+        assert rows == [rows[0]] * 17
         if not a:
             assert all(row is px for row in rows)
         row = rows[0]
         assert codes(row) == sums
-        dropped = field.drop_rows([px] * _TABLE_ROWS, [f] * _TABLE_ROWS, py)
-        assert dropped == [dropped[0]] * _TABLE_ROWS
+        dropped = field.drop_rows([px] * 16, [f] * 16, py)
+        assert dropped == [dropped[0]] * 16
         assert codes(field.shift(dropped[0], 1)) == [0] + sums[1:]
         assert [field.column([row, px], j) for j in range(n)] == [
             [s, x] for s, x in zip(sums, xs)]
@@ -190,14 +190,13 @@ def test_row_ops_match_scalar_ops_on_samples(field):
 @pytest.mark.parametrize("slots", [8, 9])
 def test_each_path_starts_past_its_boundary(field, slots, combines,
                                             table_builds):
-    # Rows whose last entry is nonzero span exactly `slots` slots. A
-    # scale forms one product bit by bit on a row of either length. An
-    # update of _TABLE_ROWS - 1 rows with a nonzero factor forms one
-    # product bit by bit per row, and one of _TABLE_ROWS such rows builds
-    # product tables once and reads them instead, on rows of either
-    # length. An update with a zero factor does neither. The update that
-    # drops entry 0 builds tables once whatever its rows, from no row of
-    # `other` when every factor is zero.
+    # Rows whose last entry is nonzero span exactly `slots` slots. Each
+    # operation forms its products one way, on rows of either length and
+    # however many rows it updates: a scale forms one product bit by bit,
+    # and so does an update for each row with a nonzero factor, neither
+    # building tables; a row with a zero factor forms none. The update
+    # that drops entry 0 builds tables exactly once, from no row of
+    # `other` when every factor is zero, and forms nothing bit by bit.
     rng = SplitMix64(slots * field.degree)
     q = field.order
     xs, ys = ([rng.below(q) for _ in range(slots - 1)] + [1 + rng.below(q - 1)]
@@ -206,27 +205,29 @@ def test_each_path_starts_past_its_boundary(field, slots, combines,
     for a in [0, 1, q - 1] + [rng.below(q) for _ in range(20)]:
         sums = [field.add(x, field.mul(a, y)) for x, y in zip(xs, ys)]
         f = field.neg(a)
-        for nrows, tables in ((_TABLE_ROWS - 1, False), (_TABLE_ROWS, True)):
+        for nrows in (1, 15, 16, 48):
             combines.clear()
             table_builds.clear()
             rows = field.sub_rows([px] * nrows, [f] * nrows, py)
-            assert len(combines) == (0 if tables or not a else nrows)
-            assert [b for b, _ in table_builds] == ([py] if tables and a
-                                                    else [])
+            assert combines == ([py] * nrows if a else [])
+            assert table_builds == []
             assert rows == [rows[0]] * nrows
             assert field.store(rows[0], slots).tolist() == sums
             assert [field.column(rows[:1], j)[0]
                     for j in range(slots)] == sums
-            table_builds.clear()
+            combines.clear()
             rows = field.drop_rows([px] * nrows, [f] * nrows, py)
+            assert combines == []
             assert [b for b, _ in table_builds] == [py if a else None]
             assert rows == [rows[0]] * nrows
             assert field.store(field.shift(rows[0], 1), slots).tolist() == [
                 0] + sums[1:]
         combines.clear()
+        table_builds.clear()
         assert field.store(field.scale(px, a), slots).tolist() == [
             field.mul(a, x) for x in xs]
         assert len(combines) == 1
+        assert table_builds == []
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
@@ -248,36 +249,28 @@ def test_reduced_rows_match_scalar_gauss_jordan(field):
 
 def _counting_updates(field, seen):
     """A fresh copy of `field` whose row updates, `sub_rows` and
-    `drop_rows`, record their name and how many of their factors are
-    nonzero."""
+    `drop_rows`, record how many of their factors are nonzero."""
     field = parse_field(str(field))
 
-    def counting(name):
-        update = getattr(field, name)
-
+    def counting(update):
         def counted(rows, fs, other):
-            seen.append((name, len(fs) - fs.count(0)))
+            seen.append(len(fs) - fs.count(0))
             return update(rows, fs, other)
         return counted
 
-    field.sub_rows, field.drop_rows = map(counting, ("sub_rows", "drop_rows"))
+    field.sub_rows, field.drop_rows = map(counting, (field.sub_rows,
+                                                     field.drop_rows))
     return field
 
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=str)
-@pytest.mark.parametrize("nrows, tables", [(_TABLE_ROWS, False),
-                                           (_TABLE_ROWS + 1, True),
-                                           (3 * _TABLE_ROWS, True)])
-def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
-                                                table_builds):
-    # A pivot row updates at most nrows - 1 rows, so with nrows =
-    # _TABLE_ROWS no update has _TABLE_ROWS nonzero factors, and with one
-    # more row one can; tables are built for every update that drops a
-    # column, and for exactly the other updates with _TABLE_ROWS nonzero
-    # factors or more. Dense and sparse fills, on wide and tall matrices,
-    # both ways, and a fill with no zero code (zero_share None), where
-    # the first pivot has nrows - 1 nonzero factors below it, so the
-    # 17-row boundary is reached over every field.
+@pytest.mark.parametrize("nrows", [16, 17, 48])
+def test_many_rows_match_scalar_gauss_jordan(field, nrows):
+    # A pivot row updates up to nrows - 1 rows, in the forward pass and
+    # in the back-substitution. Dense and sparse fills, on wide and tall
+    # matrices, both ways, and a fill with no zero code (zero_share
+    # None), where the first pivot has nrows - 1 nonzero factors below
+    # it.
     rng = SplitMix64(nrows * field.degree)
     for ncols, zero_share in [(nrows + 3, 0), (nrows + 3, 3),
                               (nrows - 2, 0), (nrows - 2, 2),
@@ -290,18 +283,10 @@ def test_table_path_matches_scalar_gauss_jordan(field, nrows, tables,
                       else rng.below(field.order) for _ in range(ncols)]
                      for _ in range(nrows)]
         rref, pivots = scalar_rref(codes, field)
-        seen = []
-        counted = _counting_updates(field, seen)
-        table_builds.clear()
-        rows = [counted.pack(row) for row in codes]
-        assert _echelon(list(rows), counted, ncols) == pivots
-        assert _row_reduce(rows, counted, ncols) == pivots
-        assert [counted.store(row, ncols).tolist() for row in rows] == rref
-        assert len(table_builds) == sum(name == "drop_rows"
-                                        or c >= _TABLE_ROWS
-                                        for name, c in seen)
-        if zero_share is None or not tables:
-            assert (max(c for _, c in seen) >= _TABLE_ROWS) == tables
+        rows = [field.pack(row) for row in codes]
+        assert _echelon(list(rows), field, ncols) == pivots
+        assert _row_reduce(rows, field, ncols) == pivots
+        assert [field.store(row, ncols).tolist() for row in rows] == rref
 
 
 def test_a_clear_column_builds_no_update(table_builds):
@@ -312,31 +297,8 @@ def test_a_clear_column_builds_no_update(table_builds):
     table_builds.clear()
     rows = [field.pack(row) for row in Matrix.identity(field, 40).to_lists()]
     assert _row_reduce(rows, field, 40) == list(range(40))
-    assert {c for _, c in seen} == {0}
+    assert set(seen) == {0}
     assert set(table_builds) == {(None, 0)}
-
-
-@pytest.mark.parametrize("nonzero, tables", [(_TABLE_ROWS - 1, False),
-                                             (_TABLE_ROWS, True)])
-def test_tables_serve_only_nonzero_factors(nonzero, tables, table_builds):
-    # A pivot row with 3 * _TABLE_ROWS rows below it, `nonzero` of them,
-    # one in three, with a nonzero entry in its column: `sub_rows`
-    # clearing the column builds product tables only if that many rows
-    # can share them.
-    field = binary_field(8)
-    table_builds.clear()  # the field's own log/exp tables
-    rng = SplitMix64(nonzero)
-    below = 3 * _TABLE_ROWS
-    fs = [0] * below
-    fs[:3 * nonzero:3] = [1 + rng.below(255) for _ in range(nonzero)]
-    codes = [[1] + [rng.below(256) for _ in range(20)]] + [
-        [f] + [rng.below(256) for _ in range(20)] for f in fs]
-    rows = [field.pack(row) for row in codes]
-    rows[1:] = field.sub_rows(rows[1:], fs, rows[0])
-    assert len(table_builds) == tables
-    assert [field.store(row, 21).tolist() for row in rows] == [codes[0]] + [
-        [field.add(x, field.mul(f, p)) for x, p in zip(row, codes[0])]
-        for f, row in zip(fs, codes[1:])]
 
 
 def _square(field, n, fill, rng):
@@ -494,7 +456,7 @@ def _products_are_canonical(field, coeffs, codes):
     for a in coeffs:
         want = [field.mul(a, x) for x in codes]
         assert field.scale(row, a) == pack(want)
-        for nrows in (_TABLE_ROWS - 1, _TABLE_ROWS):
+        for nrows in (1, 16):
             # 0 - a*row = a*row in characteristic 2
             assert field.sub_rows([zero] * nrows, [a] * nrows, row) == [
                 pack(want)] * nrows

@@ -255,12 +255,12 @@ def test_field_notation_in_file_is_parseable_standalone():
 
 def assert_load_matches_oracle(text):
     """`load` rejects `text` exactly when `oracles.load_json` does, with
-    the same message, and otherwise gives the same matrix and p. `load`
-    strips leading whitespace, so the oracle reads the text stripped.
-    Both reject every JSON syntax error and every -0 as invalid JSON, but
-    where a text holds both, each may report either first."""
+    the same message, and otherwise gives the same matrix and p. Both
+    read the whole text, so both give an error's position from its
+    start. Both reject every JSON syntax error and every -0 as invalid
+    JSON, but where a text holds both, each may report either first."""
     try:
-        expected = load_json(text.lstrip())
+        expected = load_json(text)
     except MatrixFileError as e:
         with pytest.raises(MatrixFileError) as got:
             load(text)
@@ -348,6 +348,24 @@ def test_every_truncation_matches_oracle(text):
     for end in range(1, len(text)):
         if text[:end].strip():
             assert_load_matches_oracle(text[:end])
+
+
+@pytest.mark.parametrize("text, message", [
+    # str.strip takes these as whitespace and JSON does not: the file is
+    # still sniffed as JSON, and json.loads rejects it at its first char
+    *[(c + WRITTEN, "Expecting value: line 1 column 1 (char 0)")
+      for c in ("\x0c", "\x0b", "\u00a0", "\u0085", "\u3000")],
+    (' \n\n  {"format": "bim", "version": 1,, }',
+     "Expecting property name enclosed in double quotes: "
+     "line 3 column 34 (char 36)"),
+], ids=["form-feed", "vertical-tab", "no-break-space", "next-line",
+        "ideographic-space", "error-after-newlines"])
+def test_leading_whitespace_is_json_whitespace(text, message):
+    # an error's position counts from the start of the file
+    assert_load_matches_oracle(text)
+    with pytest.raises(MatrixFileError) as got:
+        load(text)
+    assert str(got.value) == f"invalid JSON: {message}"
 
 
 @pytest.mark.parametrize("text, message", [
